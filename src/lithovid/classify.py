@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol
@@ -46,12 +47,16 @@ class Classifier(Protocol):
     def predict(self, frame: FrameGrid, mask: StoneMask) -> dict[MorphClass, float]: ...
 
 
-def apply_mask(frame: FrameGrid, mask: StoneMask) -> FrameGrid:
-    """Zero every pixel outside the mask; stone pixels pass unchanged."""
+def _check_shapes(frame: FrameGrid, mask: StoneMask) -> None:
     if mask.bits.shape != frame.pixels.shape[:2]:
         raise DimensionMismatch(
             f"mask {mask.bits.shape} vs frame {frame.pixels.shape[:2]}"
         )
+
+
+def apply_mask(frame: FrameGrid, mask: StoneMask) -> FrameGrid:
+    """Zero every pixel outside the mask; stone pixels pass unchanged."""
+    _check_shapes(frame, mask)
     out = frame.pixels.copy()
     out[~mask.bits] = 0
     return FrameGrid(out, stream_index=frame.stream_index)
@@ -60,15 +65,23 @@ def apply_mask(frame: FrameGrid, mask: StoneMask) -> FrameGrid:
 def features(frame: FrameGrid, mask: StoneMask) -> np.ndarray:
     """L1-normalized color + gradient histogram over the stone pixels only.
 
-    Works on the masked frame, so nothing outside the mask can leak into
-    the feature vector (gradients at the stone border see zeros, never
-    the actual background).
+    Computed as on the masked frame (apply_mask), so nothing outside the
+    mask can leak into the feature vector: gradients at the stone border
+    see zeros, never the actual background.
     """
     if mask.empty:
         raise EmptyMask("cannot featurize an empty mask")
-    masked = apply_mask(frame, mask)
-    bits = mask.bits
-    px = masked.pixels[bits]
+    _check_shapes(frame, mask)
+    # Work on the stone's bounding box plus a 1-px border, clipped to the
+    # frame. The border holds every neighbour a central difference at a
+    # stone pixel reads; where the box meets a frame edge, np.gradient takes
+    # the same one-sided difference as on the whole frame.
+    rows = np.flatnonzero(mask.bits.any(axis=1))
+    cols = np.flatnonzero(mask.bits.any(axis=0))
+    box = np.s_[max(rows[0] - 1, 0) : rows[-1] + 2, max(cols[0] - 1, 0) : cols[-1] + 2]
+    bits = mask.bits[box]
+    pixels = frame.pixels[box]
+    px = pixels[bits]
     idx = (
         (px[:, 0] >> 5).astype(np.intp) * (RGB_BINS * RGB_BINS)
         + (px[:, 1] >> 5).astype(np.intp) * RGB_BINS
@@ -76,8 +89,8 @@ def features(frame: FrameGrid, mask: StoneMask) -> np.ndarray:
     )
     color_hist = np.bincount(idx, minlength=RGB_BINS**3).astype(np.float64)
 
-    rgb = masked.pixels.astype(np.float64)
-    luma = 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
+    luma = 0.299 * pixels[..., 0] + 0.587 * pixels[..., 1] + 0.114 * pixels[..., 2]
+    luma[~bits] = 0.0  # the luma of a zeroed pixel
     gy, gx = np.gradient(luma)
     mag = np.hypot(gx, gy)[bits]
     g_idx = np.minimum((mag / GRAD_BIN_WIDTH).astype(np.intp), GRAD_BINS - 1)
@@ -228,6 +241,8 @@ def import_scores(path: Path) -> dict[int, dict[MorphClass, float]]:
                 raise MalformedRow(f"{path}:{lineno}: negative frame index")
             if frame_idx in out:
                 raise MalformedRow(f"{path}:{lineno}: duplicate frame {frame_idx}")
+            if not all(math.isfinite(v) for v in values):
+                raise MalformedRow(f"{path}:{lineno}: non-finite score")
             if any(v < 0 for v in values):
                 raise MalformedRow(f"{path}:{lineno}: negative score")
             total = sum(values)

@@ -32,8 +32,8 @@ from .classify import (
     import_scores,
     train_centroid,
 )
-from .core import CANONICAL_ORDER, FrameGrid, MorphClass, StoneMask, VideoTimeline
-from .errors import LithovidError, NotCalibrated, NoTruthAvailable
+from .core import CANONICAL_ORDER, STREAM_FPS, FrameGrid, MorphClass, StoneMask, VideoTimeline
+from .errors import LithovidError, NotCalibrated, NoTruthAvailable, ValidationError
 from .pipeline import Variant, run_timeline
 from .qc import QcConfig
 from .rng import derive_seed
@@ -161,10 +161,9 @@ def _build_segmenter(args_dict: dict, frames, truths):
 def _run_one_video(job: dict) -> str:
     video_dir = Path(job["video_dir"])
     out_dir = Path(job["out"])
-    video = load_stream(video_dir)
+    video = load_stream(video_dir, STREAM_FPS)
     frames, truths = normalize_video(video)
     variant = Variant(job["variant"])
-    cfg = QcConfig(min_coverage=job["min_coverage"], min_dsc=job["min_dsc"])
 
     job = dict(job, video_id=video.video_id)
     segmenter = None
@@ -179,7 +178,7 @@ def _run_one_video(job: dict) -> str:
     else:
         raise UsageError(f"unknown classifier {job['classifier']!r}")
 
-    timeline = run_timeline(video.video_id, frames, segmenter, classifier, cfg, variant)
+    timeline = run_timeline(video.video_id, frames, segmenter, classifier, job["qc"], variant)
     payload = evaluate.timeline_to_json(timeline, truth_label=video.truth_label, variant=variant)
     out_path = out_dir / f"{video.video_id}.json"
     out_path.write_text(payload, "utf-8")
@@ -234,7 +233,7 @@ def cmd_phantom(args) -> int:
 def _cohort_samples(cohort: Path, per_video: int):
     """(frame, truth mask, label) samples drawn evenly from each video."""
     for video_dir in list_video_dirs(cohort):
-        video = load_stream(video_dir)
+        video = load_stream(video_dir, STREAM_FPS)
         if video.truth_masks is None or video.truth_label is None:
             raise NoTruthAvailable(f"{video_dir} lacks truth masks or label")
         frames, truths = normalize_video(video)
@@ -284,6 +283,13 @@ def cmd_run(args) -> int:
     videos_root = Path(videos_root)
     if not videos_root.is_dir():
         raise LithovidError(f"video directory not found: {videos_root}")
+    try:
+        qc = QcConfig(
+            min_coverage=pick(args.min_coverage, "min_coverage", 0.10),
+            min_dsc=pick(args.min_dsc, "min_dsc", 0.90),
+        )
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from None
     out_dir = Path(out_root)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -296,8 +302,7 @@ def cmd_run(args) -> int:
         "model": pick(args.model, "model", None),
         "scores": pick(args.scores, "scores", None),
         "variant": pick(args.variant, "variant", Variant.FULL.value),
-        "min_coverage": pick(args.min_coverage, "min_coverage", 0.10),
-        "min_dsc": pick(args.min_dsc, "min_dsc", 0.90),
+        "qc": qc,
         "overlay": bool(args.overlay or config.get("overlay", False)),
     }
     if base_job["classifier"] == "centroid" and not base_job["model"]:
@@ -325,8 +330,10 @@ def cmd_run(args) -> int:
 def _load_timelines(timeline_dir: Path):
     out = []
     for path in sorted(Path(timeline_dir).glob("*.json")):
-        timeline, truth, variant = evaluate.timeline_from_json(path.read_text("utf-8"))
-        out.append((timeline, truth, variant))
+        try:
+            out.append(evaluate.timeline_from_json(path.read_text("utf-8")))
+        except (LithovidError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise LithovidError(f"{path} is not a valid timeline: {exc!r}") from None
     if not out:
         raise LithovidError(f"no timeline files under {timeline_dir}")
     return out

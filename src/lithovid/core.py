@@ -104,10 +104,6 @@ _COMPONENTS = {
     MorphClass.IA_IIIB: frozenset({MorphClass.IA, MorphClass.IIIB}),
 }
 
-PURE_CLASSES: tuple[MorphClass, ...] = CANONICAL_ORDER[:3]
-MIXED_CLASSES: tuple[MorphClass, ...] = CANONICAL_ORDER[3:]
-
-
 def canonical_order(a: MorphClass, b: MorphClass) -> int:
     """Three-way comparison in canonical class order (-1, 0 or 1)."""
     return (a.rank > b.rank) - (a.rank < b.rank)

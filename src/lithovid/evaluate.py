@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
 from .classify import Classifier
@@ -328,6 +327,3 @@ def summary_text(
         lines.append("")
     return "\n".join(lines)
 
-
-def write_text(path: Path, content: str) -> None:
-    Path(path).write_text(content, "utf-8")

@@ -9,6 +9,8 @@ resampling to 8 Hz and center-crop + bilinear resize to 256x256.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -73,6 +75,16 @@ class RawVideo:
         return len(self.frames) / self.native_fps
 
 
+def _grid_indices(n: int, native_fps: float, target_fps: float) -> list[int]:
+    """Native frame index for each output frame of resample_temporal."""
+    native = Fraction(native_fps)
+    target = Fraction(target_fps)
+    half = Fraction(1, 2)
+    count = max(1, int(n * target / native + half))
+    ratio = native / target
+    return [min(n - 1, int(k * ratio + half)) for k in range(count)]
+
+
 def resample_temporal(video: RawVideo, target_fps: float = STREAM_FPS) -> RawVideo:
     """Resample to target_fps by nearest-native-timestamp frame selection.
 
@@ -86,12 +98,7 @@ def resample_temporal(video: RawVideo, target_fps: float = STREAM_FPS) -> RawVid
     n = len(video.frames)
     if n == 0:
         raise EmptyVideo(f"video {video.video_id!r} has no frames")
-    native = Fraction(video.native_fps)
-    target = Fraction(target_fps)
-    half = Fraction(1, 2)
-    count = max(1, int(n * target / native + half))
-    ratio = native / target
-    indices = [min(n - 1, int(k * ratio + half)) for k in range(count)]
+    indices = _grid_indices(n, video.native_fps, target_fps)
     frames = tuple(video.frames[i] for i in indices)
     masks = None
     if video.truth_masks is not None:
@@ -128,11 +135,27 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (sy - y0)[:, None, None]
     wx = (sx - x0)[None, :, None]
-    src = img.astype(np.float64)
-    top = src[y0][:, x0] * (1 - wx) + src[y0][:, x1] * wx
-    bot = src[y1][:, x0] * (1 - wx) + src[y1][:, x1] * wx
-    out = top * (1 - wy) + bot * wy
-    return np.floor(out + 0.5).astype(np.uint8)
+    # Gather the uint8 taps first and widen only those: uint8 -> float64 is
+    # exact, so each output sees the same float operations, in the same
+    # order, as interpolating a widened copy of the whole image.
+    row0 = img[y0]
+    row1 = img[y1]
+    top = row0[:, x0].astype(np.float64)
+    right = row0[:, x1].astype(np.float64)
+    bot = row1[:, x0].astype(np.float64)
+    bot_right = row1[:, x1].astype(np.float64)
+    top *= 1 - wx
+    right *= wx
+    top += right
+    bot *= 1 - wx
+    bot_right *= wx
+    bot += bot_right
+    top *= 1 - wy
+    bot *= wy
+    top += bot
+    top += 0.5
+    np.floor(top, out=top)
+    return top.astype(np.uint8)
 
 
 def normalize_frame(img: np.ndarray, stream_index: int = 0) -> FrameGrid:
@@ -184,10 +207,8 @@ def write_pgm(path: Path, mask: np.ndarray) -> None:
         fh.write(bits.tobytes())
 
 
-def _read_pnm(path: Path, magic: bytes, channels: int) -> np.ndarray:
-    if not path.is_file():
-        raise MissingFrame(f"frame file not found: {path}")
-    data = path.read_bytes()
+def _parse_pnm_header(path: Path, data: bytes, magic: bytes) -> tuple[int, int, int]:
+    """(width, height, raster offset) from the start of a binary PNM file."""
     if not data.startswith(magic):
         raise CorruptManifest(f"{path} is not a {magic.decode()} file")
     # header = magic + 3 ASCII integers separated by whitespace (comments allowed)
@@ -211,6 +232,14 @@ def _read_pnm(path: Path, magic: bytes, channels: int) -> np.ndarray:
     w, h, maxval = fields
     if maxval != 255 or w <= 0 or h <= 0:
         raise CorruptManifest(f"{path} must be 8-bit with positive dimensions")
+    return w, h, pos
+
+
+def _read_pnm(path: Path, magic: bytes, channels: int) -> np.ndarray:
+    if not path.is_file():
+        raise MissingFrame(f"frame file not found: {path}")
+    data = path.read_bytes()
+    w, h, pos = _parse_pnm_header(path, data, magic)
     expected = w * h * channels
     raster = data[pos : pos + expected]
     if len(raster) != expected:
@@ -219,6 +248,32 @@ def _read_pnm(path: Path, magic: bytes, channels: int) -> np.ndarray:
     if channels == 1:
         return arr.reshape(h, w)
     return arr.reshape(h, w, channels)
+
+
+_HEADER_PROBE = 4096
+
+
+def _pnm_shape(path: Path, magic: bytes, channels: int) -> tuple[int, ...]:
+    """Shape _read_pnm would return, after the same checks, without the raster.
+
+    Reads only the header and takes the length from the file size.
+    """
+    if not path.is_file():
+        raise MissingFrame(f"frame file not found: {path}")
+    with open(path, "rb") as fh:
+        data = fh.read(_HEADER_PROBE)
+        try:
+            w, h, pos = _parse_pnm_header(path, data, magic)
+            complete = pos <= len(data)
+        except CorruptManifest:
+            complete = False
+        if not complete:  # the header may run past the probe (long comments)
+            data += fh.read()
+            w, h, pos = _parse_pnm_header(path, data, magic)
+        size = os.fstat(fh.fileno()).st_size
+    if size < pos + w * h * channels:
+        raise CorruptManifest(f"{path} raster is truncated")
+    return (h, w) if channels == 1 else (h, w, channels)
 
 
 def read_ppm(path: Path) -> np.ndarray:
@@ -258,8 +313,16 @@ def store_stream(video: RawVideo, dir_path: Path) -> Path:
     return manifest_path
 
 
-def load_stream(manifest_path: Path) -> RawVideo:
-    """Load a video from its manifest (a manifest file or its directory)."""
+def load_stream(manifest_path: Path, target_fps: Optional[float] = None) -> RawVideo:
+    """Load a video from its manifest (a manifest file or its directory).
+
+    With target_fps, return the video resampled to it as resample_temporal
+    would, decoding only the frames and truth masks it keeps. Every other
+    file still gets every check short of decoding: it exists, its header
+    is valid, it is long enough and its dimensions match.
+    """
+    if target_fps is not None and target_fps <= 0:
+        raise ValidationError("target_fps must be positive")
     path = Path(manifest_path)
     if path.is_dir():
         path = path / MANIFEST_NAME
@@ -275,35 +338,56 @@ def load_stream(manifest_path: Path) -> RawVideo:
         entries = manifest["frames"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptManifest(f"{path} is missing required fields ({exc})") from None
+    grid = None
+    if target_fps is not None and entries and 0 < native_fps < math.inf:
+        grid = _grid_indices(len(entries), native_fps, target_fps)
+    decode = None if grid is None else set(grid)
     base = path.parent
     frames: list[np.ndarray] = []
+    shapes: list[tuple[int, ...]] = []
     masks: list[Optional[np.ndarray]] = []
+    mask_shapes: list[Optional[tuple[int, ...]]] = []
     label: Optional[MorphClass] = None
     for i, entry in enumerate(entries):
         if "file" not in entry:
             raise CorruptManifest(f"{path}: frame entry {i} lacks a file reference")
-        frame = read_ppm(base / entry["file"])
-        if frames and frame.shape != frames[0].shape:
+        keep = decode is None or i in decode
+        frame = read_ppm(base / entry["file"]) if keep else None
+        shape = frame.shape if keep else _pnm_shape(base / entry["file"], b"P6", 3)
+        if shapes and shape != shapes[0]:
             raise DimensionMismatch(
-                f"{path}: frame {i} has shape {frame.shape[:2]}, expected {frames[0].shape[:2]}"
+                f"{path}: frame {i} has shape {shape[:2]}, expected {shapes[0][:2]}"
             )
         frames.append(frame)
+        shapes.append(shape)
+        mask = mask_shape = None
         if entry.get("truth_mask"):
-            mask = read_pgm(base / entry["truth_mask"])
-            masks.append(mask > 127)
-        else:
-            masks.append(None)
+            if keep:
+                mask = read_pgm(base / entry["truth_mask"]) > 127
+                mask_shape = mask.shape
+            else:
+                mask_shape = _pnm_shape(base / entry["truth_mask"], b"P5", 1)
+        masks.append(mask)
+        mask_shapes.append(mask_shape)
         if entry.get("truth_label"):
             entry_label = MorphClass.from_tag(entry["truth_label"])
             if label is not None and entry_label is not label:
                 raise CorruptManifest(f"{path}: inconsistent truth labels across frames")
             label = entry_label
-    truth_masks = tuple(masks) if any(m is not None for m in masks) else None
+    has_masks = any(m is not None for m in mask_shapes)
+    if grid is not None:
+        # RawVideo checks only the masks it holds; check the skipped ones too
+        for i, (mask_shape, shape) in enumerate(zip(mask_shapes, shapes)):
+            if mask_shape is not None and mask_shape != shape[:2]:
+                raise DimensionMismatch(f"truth mask {i} does not match its frame")
+        frames = [frames[i] for i in grid]
+        masks = [masks[i] for i in grid]
+        native_fps = float(target_fps)
     return RawVideo(
         video_id=video_id,
         native_fps=native_fps,
         frames=tuple(frames),
-        truth_masks=truth_masks,
+        truth_masks=tuple(masks) if has_masks else None,
         truth_label=label,
     )
 

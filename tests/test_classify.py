@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,71 @@ class TestFeatures:
         repainted[~mask.bits] = 255  # touch only mask-0 pixels
         g = FrameGrid(repainted)
         assert np.array_equal(features(f, mask), features(g, mask))
+
+
+def reference_features(frame, mask):
+    """features() computed on the whole apply_mask()ed frame."""
+    masked = apply_mask(frame, mask)
+    bits = mask.bits
+    px = masked.pixels[bits]
+    idx = (
+        (px[:, 0] >> 5).astype(np.intp) * 64
+        + (px[:, 1] >> 5).astype(np.intp) * 8
+        + (px[:, 2] >> 5).astype(np.intp)
+    )
+    color_hist = np.bincount(idx, minlength=512).astype(np.float64)
+    rgb = masked.pixels.astype(np.float64)
+    luma = 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
+    gy, gx = np.gradient(luma)
+    mag = np.hypot(gx, gy)[bits]
+    g_idx = np.minimum((mag / 10.0).astype(np.intp), 15)
+    grad_hist = np.bincount(g_idx, minlength=16).astype(np.float64)
+    vec = np.concatenate([color_hist, grad_hist])
+    return vec / vec.sum()
+
+
+def edge_masks():
+    yield "full frame", np.ones((256, 256), dtype=bool)
+    for y, x in [(0, 0), (0, 255), (255, 0), (255, 255), (128, 77), (1, 254)]:
+        bits = np.zeros((256, 256), dtype=bool)
+        bits[y, x] = True
+        yield f"pixel {y},{x}", bits
+    sides = {
+        "top": np.s_[:40, 60:200], "bottom": np.s_[-40:, 60:200],
+        "left": np.s_[60:200, :40], "right": np.s_[60:200, -40:],
+        "one row from top": np.s_[1:40, 60:200], "one col from right": np.s_[60:200, -41:-1],
+    }
+    for name, box in sides.items():
+        bits = np.zeros((256, 256), dtype=bool)
+        bits[box] = True
+        yield name, bits
+    rng = np.random.Generator(np.random.Philox(key=[8, 8]))
+    for i in range(12):
+        bits = rng.random((256, 256)) < rng.uniform(0.01, 0.9)
+        if i % 2:  # a random blob with a ragged edge
+            yy, xx = np.mgrid[:256, :256]
+            cy, cx, r = rng.integers(0, 256, 3)
+            bits &= (yy - cy) ** 2 + (xx - cx) ** 2 < (r // 2 + 4) ** 2
+            bits[cy, cx] = True
+        yield f"random {i}", bits
+
+
+class TestFeaturesExact:
+    @pytest.mark.parametrize("name, bits", list(edge_masks()), ids=lambda v: v if isinstance(v, str) else "")
+    def test_matches_masked_full_frame(self, name, bits):
+        for seed in (0, 1):
+            frame = rand_frame(seed)
+            mask = StoneMask(bits)
+            assert np.array_equal(features(frame, mask), reference_features(frame, mask))
+
+    def test_phantom_stills(self):
+        for label in CANONICAL_ORDER:
+            frame, mask = make_still(label, 40 + label.rank)
+            assert np.array_equal(features(frame, mask), reference_features(frame, mask))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            features(rand_frame(), StoneMask(np.ones((16, 16), dtype=bool)))
 
 
 class TestSoftmin:
@@ -209,9 +276,11 @@ class TestScoreImport:
 
     def test_malformed_rows(self, tmp_path):
         for row in ("1,0.5,0.5", "x,0.2,0.2,0.2,0.2,0.2", "1,0.2,0.2,0.2,0.2,oops",
-                    "1,-0.2,0.6,0.2,0.2,0.2"):
+                    "1,-0.2,0.6,0.2,0.2,0.2", "1,nan,0.2,0.2,0.2,0.2",
+                    "1,inf,0.2,0.2,0.2,0.2", "1,-inf,0.2,0.2,0.2,0.2",
+                    "1,0.2,0.2,0.2,0.2,NaN"):
             path = self.write(tmp_path, "frame,Ia,IIb,IIIb,IaIIb,IaIIIb\n" + row + "\n")
-            with pytest.raises(MalformedRow):
+            with pytest.raises(MalformedRow, match=f"^{re.escape(str(path))}:2: "):
                 import_scores(path)
 
     def test_duplicate_frame(self, tmp_path):

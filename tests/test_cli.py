@@ -200,6 +200,16 @@ class TestEvalCommand:
         assert code == 2
         assert "IIIb" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["{not json", "{}"])
+    def test_bad_timeline_is_data_error_naming_file(self, tmp_path, capsys, text):
+        timelines = tmp_path / "tl"
+        timelines.mkdir()
+        bad = timelines / "broken.json"
+        bad.write_text(text, "utf-8")
+        code = main(["eval", "--timelines", str(timelines), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
 
 class TestReportCommand:
     def test_adversarial_full_beats_noqc_in_report(self, tmp_path):
@@ -271,3 +281,15 @@ class TestExitCodes:
         finally:
             del os.environ["LITHO_WORKERS"]
         assert code == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--min-dsc", "1.5"), ("--min-dsc", "0"), ("--min-coverage", "1.0"),
+        ("--min-coverage", "-0.1"),
+    ])
+    def test_bad_qc_threshold_is_usage_error(self, workspace, tmp_path, flag, value):
+        out = tmp_path / "o"
+        code = main(["run", "--videos", str(workspace / "cohort"), "--out", str(out),
+                     "--classifier", "centroid", "--model", str(workspace / "model.json"),
+                     flag, value])
+        assert code == 1
+        assert not out.exists()

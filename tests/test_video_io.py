@@ -1,12 +1,14 @@
 import json
 from fractions import Fraction
 
+import lithovid.video_io as video_io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lithovid.core import MorphClass
+from lithovid.core import STREAM_FPS, MorphClass
 from lithovid.errors import (
     CorruptManifest,
     DimensionMismatch,
@@ -17,9 +19,11 @@ from lithovid.errors import (
 from lithovid.phantom import clean_spec, generate_phantom
 from lithovid.video_io import (
     RawVideo,
+    bilinear_resize,
     load_stream,
     normalize_frame,
     normalize_mask,
+    normalize_video,
     read_pgm,
     read_ppm,
     resample_temporal,
@@ -216,3 +220,146 @@ class TestStreamContainer:
         manifest_path.write_text(json.dumps(manifest), "utf-8")
         with pytest.raises(CorruptManifest):
             load_stream(tmp_path / "v")
+
+
+def reference_bilinear_resize(img, out_h, out_w):
+    """The interpolation formula on a float64 copy of the whole image."""
+    h, w = img.shape[:2]
+    if (h, w) == (out_h, out_w):
+        return img.copy()
+    sy = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    sx = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    sy = np.clip(sy, 0.0, h - 1.0)
+    sx = np.clip(sx, 0.0, w - 1.0)
+    y0 = np.floor(sy).astype(np.intp)
+    x0 = np.floor(sx).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (sy - y0)[:, None, None]
+    wx = (sx - x0)[None, :, None]
+    src = img.astype(np.float64)
+    top = src[y0][:, x0] * (1 - wx) + src[y0][:, x1] * wx
+    bot = src[y1][:, x0] * (1 - wx) + src[y1][:, x1] * wx
+    out = top * (1 - wy) + bot * wy
+    return np.floor(out + 0.5).astype(np.uint8)
+
+
+class TestBilinearResizeExact:
+    @pytest.mark.parametrize("shape", [(480, 640), (479, 641), (33, 19), (480, 480)])
+    def test_matches_reference_formula(self, shape):
+        rng = np.random.Generator(np.random.Philox(key=[shape[0], shape[1]]))
+        img = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
+        assert np.array_equal(bilinear_resize(img, 256, 256),
+                              reference_bilinear_resize(img, 256, 256))
+
+    def test_scale_one_is_a_copy(self):
+        rng = np.random.Generator(np.random.Philox(key=[9, 9]))
+        img = rng.integers(0, 256, size=(256, 256, 3), dtype=np.uint8)
+        out = bilinear_resize(img, 256, 256)
+        assert np.array_equal(out, img)
+        assert not np.shares_memory(out, img)
+
+
+def store_random_video(dir_path, n, fps, h=24, w=32, seed=0):
+    rng = np.random.Generator(np.random.Philox(key=[seed, n]))
+    frames = tuple(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8) for _ in range(n))
+    masks = tuple(rng.random((h, w)) < 0.4 for _ in range(n))
+    video = RawVideo(video_id="r", native_fps=fps, frames=frames, truth_masks=masks,
+                     truth_label=MorphClass.IIB)
+    store_stream(video, dir_path)
+    return dir_path
+
+
+class TestGridOnlyLoad:
+    """load_stream(d, STREAM_FPS) decodes only the frames resampling keeps."""
+
+    @pytest.mark.parametrize("n, fps", [(30, 30.0), (31, 25.0), (7, 4.0), (16, 8.0)])
+    def test_same_stream_as_full_read(self, tmp_path, n, fps):
+        d = store_random_video(tmp_path / "v", n, fps)
+        full = load_stream(d)
+        grid = load_stream(d, STREAM_FPS)
+        assert grid.native_fps == STREAM_FPS
+        assert grid.video_id == full.video_id
+        assert grid.truth_label is full.truth_label
+        want_frames, want_masks = normalize_video(full)
+        got_frames, got_masks = normalize_video(grid)
+        assert len(got_frames) == len(want_frames)
+        for a, b in zip(got_frames, want_frames):
+            assert a.stream_index == b.stream_index
+            assert np.array_equal(a.pixels, b.pixels)
+        assert len(got_masks) == len(want_masks)
+        for a, b in zip(got_masks, want_masks):
+            assert np.array_equal(a.bits, b.bits)
+
+    def test_decodes_only_grid_frames(self, tmp_path, monkeypatch):
+        d = store_random_video(tmp_path / "v", 30, 30.0)
+        decoded = []
+        read_ppm_orig, read_pgm_orig = video_io.read_ppm, video_io.read_pgm
+
+        def counting(reader):
+            def read(path):
+                decoded.append(path.name)
+                return reader(path)
+            return read
+
+        monkeypatch.setattr(video_io, "read_ppm", counting(read_ppm_orig))
+        monkeypatch.setattr(video_io, "read_pgm", counting(read_pgm_orig))
+        load_stream(d, STREAM_FPS)
+        grid = [0, 4, 8, 11, 15, 19, 23, 26]
+        assert decoded == [name for i in grid
+                           for name in (f"frame_{i:06d}.ppm", f"mask_{i:06d}.pgm")]
+
+    def test_masks_only_off_the_grid(self, tmp_path):
+        d = store_random_video(tmp_path / "v", 30, 30.0)
+        manifest_path = d / "manifest.json"
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        for i, entry in enumerate(manifest["frames"]):
+            if i != 1:
+                del entry["truth_mask"]
+        manifest_path.write_text(json.dumps(manifest), "utf-8")
+        full = resample_temporal(load_stream(d), STREAM_FPS)
+        grid = load_stream(d, STREAM_FPS)
+        assert full.truth_masks == grid.truth_masks == (None,) * 8
+
+    def test_long_header_comment_off_the_grid(self, tmp_path):
+        d = store_random_video(tmp_path / "v", 30, 30.0)
+        path = d / "frame_000001.ppm"
+        data = path.read_bytes()
+        path.write_bytes(b"P6\n#" + b"x" * 5000 + b"\n" + data[3:])
+        assert len(load_stream(d, STREAM_FPS)) == 8
+        path.write_bytes(b"P6\n#" + b"x" * 5000 + b"\n" + data[3:-1])
+        with pytest.raises(CorruptManifest, match="truncated"):
+            load_stream(d, STREAM_FPS)
+
+    @pytest.mark.parametrize("damage, error", [
+        ("missing", MissingFrame),
+        ("truncated", CorruptManifest),
+        ("header", CorruptManifest),
+        ("wrong size", DimensionMismatch),
+        ("not P6", CorruptManifest),
+        ("mask shape", DimensionMismatch),
+        ("mask truncated", CorruptManifest),
+    ])
+    def test_off_grid_file_is_still_checked(self, tmp_path, damage, error):
+        d = store_random_video(tmp_path / "v", 30, 30.0)
+        frame = d / "frame_000001.ppm"  # native frame 1 is not on the 8 Hz grid
+        mask = d / "mask_000001.pgm"
+        if damage == "missing":
+            frame.unlink()
+        elif damage == "truncated":
+            frame.write_bytes(frame.read_bytes()[:-1])
+        elif damage == "header":
+            frame.write_bytes(b"P6\n32 x\n255\n" + bytes(24 * 32 * 3))
+        elif damage == "wrong size":
+            write_ppm(frame, np.zeros((24, 31, 3), np.uint8))
+        elif damage == "not P6":
+            write_pgm(frame, np.zeros((24, 32), bool))
+        elif damage == "mask shape":
+            write_pgm(mask, np.zeros((24, 31), bool))
+        else:
+            mask.write_bytes(mask.read_bytes()[:-1])
+        with pytest.raises(error) as full:
+            normalize_video(load_stream(d))
+        with pytest.raises(error) as grid:
+            load_stream(d, STREAM_FPS)
+        assert str(grid.value) == str(full.value)
