@@ -14,7 +14,9 @@ LITHO_WORKERS caps per-video parallelism in `run`.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import sys
 import traceback
@@ -33,7 +35,7 @@ from .classify import (
     train_centroid,
 )
 from .core import CANONICAL_ORDER, STREAM_FPS, FrameGrid, MorphClass, StoneMask, VideoTimeline
-from .errors import LithovidError, NotCalibrated, NoTruthAvailable, ValidationError
+from .errors import CorruptManifest, LithovidError, NotCalibrated, NoTruthAvailable, ValidationError
 from .pipeline import Variant, run_timeline
 from .qc import QcConfig
 from .rng import derive_seed
@@ -169,6 +171,9 @@ def _run_one_video(job: dict) -> str:
     segmenter = None
     if variant is not Variant.NO_QC:
         segmenter = _build_segmenter(job, frames, truths)
+        if job.get("overlay"):
+            # segment once; the gate and the overlay writer read the same masks
+            segmenter = OracleSegmenter.from_masks([segmenter.segment(f) for f in frames])
 
     if job["classifier"] == "centroid":
         classifier = CentroidModel.load(Path(job["model"]))
@@ -178,7 +183,8 @@ def _run_one_video(job: dict) -> str:
     else:
         raise UsageError(f"unknown classifier {job['classifier']!r}")
 
-    timeline = run_timeline(video.video_id, frames, segmenter, classifier, job["qc"], variant)
+    timelines = run_timeline(video.video_id, frames, segmenter, classifier, job["qc"], (variant,))
+    timeline = timelines[variant]
     payload = evaluate.timeline_to_json(timeline, truth_label=video.truth_label, variant=variant)
     out_path = out_dir / f"{video.video_id}.json"
     out_path.write_text(payload, "utf-8")
@@ -186,12 +192,9 @@ def _run_one_video(job: dict) -> str:
     if job.get("overlay"):
         overlay_dir = out_dir / "overlays" / video.video_id
         overlay_dir.mkdir(parents=True, exist_ok=True)
-        masks = None
-        if segmenter is not None:
-            masks = [segmenter.segment(f) for f in frames]
         for rec, frame in zip(timeline.records, frames):
             text = rec.label.display if rec.qc.passed else "X"
-            mask = masks[rec.stream_index] if masks is not None else None
+            mask = segmenter.truths[rec.stream_index] if segmenter is not None else None
             img = render_overlay(frame, mask, text)
             write_ppm(overlay_dir / f"frame_{rec.stream_index:06d}.ppm", img)
     return video.video_id
@@ -343,12 +346,19 @@ def _truth_lookup(truth_root: Optional[str]) -> dict[str, MorphClass]:
     table: dict[str, MorphClass] = {}
     if truth_root is None:
         return table
+    if not Path(truth_root).is_dir():
+        raise LithovidError(f"truth directory not found: {truth_root}")
     for video_dir in list_video_dirs(Path(truth_root)):
-        manifest = json.loads((video_dir / MANIFEST_NAME).read_text("utf-8"))
-        for entry in manifest.get("frames", []):
-            if entry.get("truth_label"):
-                table[manifest["video_id"]] = MorphClass.from_tag(entry["truth_label"])
-                break
+        path = video_dir / MANIFEST_NAME
+        try:
+            manifest = json.loads(path.read_text("utf-8"))
+            video_id = manifest["video_id"]
+            for entry in manifest.get("frames", []):
+                if entry.get("truth_label"):
+                    table[video_id] = MorphClass.from_tag(entry["truth_label"])
+                    break
+        except (LithovidError, OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CorruptManifest(f"{path} is not a valid manifest: {exc!r}") from None
     return table
 
 
@@ -394,31 +404,49 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    header = None
+def _read_metrics(path: Path) -> list[list[str]]:
+    """Rows of a metrics CSV in the layout evaluate.metrics_csv writes."""
+    header = list(evaluate.METRICS_HEADER)
+    names = {v.value for v in Variant}
     rows = []
-    for path in args.inputs:
-        lines = Path(path).read_text("utf-8").splitlines()
-        if not lines:
-            raise LithovidError(f"empty metrics file {path}")
-        if header is None:
-            header = lines[0]
-        elif lines[0] != header:
-            raise LithovidError(f"metrics header mismatch in {path}")
-        rows.extend(lines[1:])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != header:
+                raise LithovidError(f"{path}:1: header is not {','.join(header)}")
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(header):
+                    raise LithovidError(f"{where}: {len(row)} fields, expected {len(header)}")
+                if row[0] not in names:
+                    raise LithovidError(f"{where}: unknown variant {row[0]!r}")
+                try:
+                    finite = all(math.isfinite(float(v)) for v in row[2:])
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise LithovidError(f"{where}: metric values must be finite numbers")
+                rows.append(row)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise LithovidError(f"cannot read metrics file {path}: {exc}") from None
+    return rows
+
+
+def cmd_report(args) -> int:
+    rows = [row for path in args.inputs for row in _read_metrics(Path(path))]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "combined.csv").write_text("\n".join([header] + rows) + "\n", "utf-8")
+    lines = [",".join(row) for row in [evaluate.METRICS_HEADER, *rows]]
+    (out_dir / "combined.csv").write_text("\n".join(lines) + "\n", "utf-8")
 
     by_variant: dict[str, list[float]] = {}
     for row in rows:
-        fields = row.split(",")
-        by_variant.setdefault(fields[0], []).append(float(fields[2]))
+        by_variant.setdefault(row[0], []).append(float(row[2]))
     lines = ["mean balanced accuracy by variant:"]
-    for name in (Variant.FULL.value, Variant.NO_MASKING.value, Variant.NO_QC.value):
-        if name in by_variant:
-            values = by_variant[name]
-            lines.append(f"  {name:<12} {sum(values) / len(values):6.2f} %")
+    for variant in Variant:
+        values = by_variant.get(variant.value)
+        if values:
+            lines.append(f"  {variant.value:<12} {sum(values) / len(values):6.2f} %")
     (out_dir / "combined.txt").write_text("\n".join(lines) + "\n", "utf-8")
     print(f"combined report written to {out_dir}")
     return EXIT_OK

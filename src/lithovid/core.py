@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import total_ordering
 from typing import Mapping, Optional
 
 import numpy as np
@@ -20,6 +21,7 @@ STREAM_FPS = 8.0
 SCORE_SUM_TOL = 1e-9
 
 
+@total_ordering
 class MorphClass(Enum):
     """The five recognized stone types, in canonical order.
 
@@ -69,21 +71,6 @@ class MorphClass(Enum):
         if not isinstance(other, MorphClass):
             return NotImplemented
         return self.rank < other.rank
-
-    def __le__(self, other: "MorphClass") -> bool:
-        if not isinstance(other, MorphClass):
-            return NotImplemented
-        return self.rank <= other.rank
-
-    def __gt__(self, other: "MorphClass") -> bool:
-        if not isinstance(other, MorphClass):
-            return NotImplemented
-        return self.rank > other.rank
-
-    def __ge__(self, other: "MorphClass") -> bool:
-        if not isinstance(other, MorphClass):
-            return NotImplemented
-        return self.rank >= other.rank
 
 
 CANONICAL_ORDER: tuple[MorphClass, ...] = (

@@ -29,6 +29,7 @@ from .pipeline import Variant, run_raw_video
 from .qc import QcConfig
 
 METRIC_NAMES = ("balanced_accuracy", "sensitivity", "specificity", "precision", "f1")
+METRICS_HEADER = ("variant", "class", *METRIC_NAMES)
 
 
 def round_half_up_percent(fraction: float) -> int:
@@ -188,17 +189,16 @@ def run_ablation(
     """Run the pipeline variants over one shared cohort.
 
     videos is an iterable of (RawVideo, truth MorphClass); it is
-    consumed once, each video running through every variant before the
-    next is touched, so cohorts can be generated lazily.
+    consumed once, each video running through all variants in one pass
+    before the next is touched, so cohorts can be generated lazily.
     """
     timelines: dict[Variant, list[VideoTimeline]] = {v: [] for v in variants}
     truths: list[MorphClass] = []
     for video, truth in videos:
         truths.append(truth)
-        for variant in variants:
-            timelines[variant].append(
-                run_raw_video(video, segmenter_factory, classifier, cfg, variant)
-            )
+        per_variant = run_raw_video(video, segmenter_factory, classifier, cfg, variants)
+        for variant, tl in per_variant.items():
+            timelines[variant].append(tl)
     out = {}
     for variant in variants:
         tally = ConfusionTally.from_pairs(
@@ -286,18 +286,13 @@ def metrics_csv(
     blocks: Mapping[Variant, Mapping[MorphClass, ClassMetrics]],
 ) -> str:
     """One row per class per variant, metric columns in percent."""
-    lines = ["variant,class,balanced_accuracy,sensitivity,specificity,precision,f1"]
-    for variant in (Variant.FULL, Variant.NO_MASKING, Variant.NO_QC):
+    lines = [",".join(METRICS_HEADER)]
+    for variant in Variant:
         if variant not in blocks:
             continue
-        per_class = blocks[variant]
         for c in CANONICAL_ORDER:
-            m = per_class[c]
-            lines.append(
-                f"{variant.value},{c.tag},"
-                f"{m.balanced_accuracy * 100:.2f},{m.sensitivity * 100:.2f},"
-                f"{m.specificity * 100:.2f},{m.precision * 100:.2f},{m.f1 * 100:.2f}"
-            )
+            values = blocks[variant][c].as_dict().values()
+            lines.append(",".join([variant.value, c.tag] + [f"{v * 100:.2f}" for v in values]))
     return "\n".join(lines) + "\n"
 
 
@@ -309,7 +304,7 @@ def summary_text(
     """Paper-style table: integer percents, mean +- sample std overall."""
     lines = []
     header = "metric                " + "".join(f"{c.tag:>9}" for c in CANONICAL_ORDER) + "   overall"
-    for variant in (Variant.FULL, Variant.NO_MASKING, Variant.NO_QC):
+    for variant in Variant:
         if variant not in blocks:
             continue
         lines.append(f"== variant: {variant.value} ==")

@@ -3,7 +3,8 @@
 Frames flow through segmentation, the quality gate, per-frame
 classification and finally label aggregation into one decision. Ablation
 variants switch off pixel masking (classifier sees the whole frame) or
-the whole gate (every frame is classified and counted).
+the whole gate (every frame is classified and counted); every variant
+asked for is served from one pass over the frames.
 """
 
 from __future__ import annotations
@@ -42,39 +43,43 @@ def run_timeline(
     segmenter: Optional[Segmenter],
     classifier: Classifier,
     cfg: QcConfig = QcConfig(),
-    variant: Variant = Variant.FULL,
-) -> VideoTimeline:
-    """Run steps 1-4 over normalized frames and assemble the timeline."""
-    records: list[PredictionRecord] = []
+    variants: Sequence[Variant] = (Variant.FULL,),
+) -> dict[Variant, VideoTimeline]:
+    """Run steps 1-4 over normalized frames, one timeline per variant.
 
-    if variant is Variant.NO_QC:
-        for frame in frames:
-            scores = classifier.predict(frame, FULL_FRAME_MASK)
-            records.append(PredictionRecord.passing(frame.stream_index, scores))
-    else:
-        previous: Optional[StoneMask] = None
-        for frame in frames:
+    Each frame is segmented and gated once, and only if a gated variant
+    is asked for. It is classified at most once with the stone mask (full,
+    passing frames) and at most once with the whole frame, shared by
+    no-masking on passing frames and by no-qc on every frame.
+    """
+    gated = any(v is not Variant.NO_QC for v in variants)
+    records: dict[Variant, list[PredictionRecord]] = {v: [] for v in variants}
+    previous: Optional[StoneMask] = None
+    for frame in frames:
+        index = frame.stream_index
+        passed = False
+        if gated:
             mask = segmenter.segment(frame)
             verdict = check_frame(mask, previous, cfg)
             previous = mask
-            if not verdict.passed:
-                records.append(PredictionRecord.rejected(frame.stream_index, verdict))
-                continue
-            predict_mask = mask if variant is Variant.FULL else FULL_FRAME_MASK
-            scores = classifier.predict(frame, predict_mask)
-            records.append(PredictionRecord.passing(frame.stream_index, scores, dsc=verdict.dsc))
-
-    labels = [r.label for r in records if r.qc.passed]
-    decision = None
-    path = None
-    if labels:
-        decision, path = decide(LabelCensus.from_labels(labels))
-    return VideoTimeline(
-        video_id=video_id,
-        records=tuple(records),
-        decision=decision,
-        decision_path=path,
-    )
+            passed = verdict.passed
+        whole = None
+        if Variant.NO_QC in records or (passed and Variant.NO_MASKING in records):
+            whole = classifier.predict(frame, FULL_FRAME_MASK)
+        for variant, out in records.items():
+            if variant is Variant.NO_QC:
+                out.append(PredictionRecord.passing(index, whole))
+            elif not passed:
+                out.append(PredictionRecord.rejected(index, verdict))
+            else:
+                scores = classifier.predict(frame, mask) if variant is Variant.FULL else whole
+                out.append(PredictionRecord.passing(index, scores, dsc=verdict.dsc))
+    timelines = {}
+    for variant, out in records.items():
+        labels = [r.label for r in out if r.qc.passed]
+        decision, path = decide(LabelCensus.from_labels(labels)) if labels else (None, None)
+        timelines[variant] = VideoTimeline(video_id, tuple(out), decision, path)
+    return timelines
 
 
 def run_raw_video(
@@ -82,17 +87,16 @@ def run_raw_video(
     segmenter_factory,
     classifier: Classifier,
     cfg: QcConfig = QcConfig(),
-    variant: Variant = Variant.FULL,
-) -> VideoTimeline:
-    """Standardize a raw video then run the pipeline.
+    variants: Sequence[Variant] = (Variant.FULL,),
+) -> dict[Variant, VideoTimeline]:
+    """Standardize a raw video once, then run the pipeline for every variant.
 
     segmenter_factory(frames, truth_masks) builds the per-video
     segmenter; it receives the normalized truth masks so oracle
-    segmentation can be wired without global state. It may be None for
-    the no-qc variant.
+    segmentation can be wired without global state. It is not called,
+    and may be None, when no-qc is the only variant.
     """
     frames, truths = normalize_video(video)
-    segmenter = None
-    if variant is not Variant.NO_QC:
-        segmenter = segmenter_factory(frames, truths)
-    return run_timeline(video.video_id, frames, segmenter, classifier, cfg, variant)
+    gated = any(v is not Variant.NO_QC for v in variants)
+    segmenter = segmenter_factory(frames, truths) if gated else None
+    return run_timeline(video.video_id, frames, segmenter, classifier, cfg, variants)

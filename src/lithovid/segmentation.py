@@ -31,28 +31,13 @@ from .rng import stream
 BCE_EPS = 1e-7
 
 MaskLike = Union[StoneMask, np.ndarray]
-ProbLike = Union["SoftMask", np.ndarray]
+ProbLike = np.ndarray
 
 
 class Segmenter(Protocol):
     """Pure per-frame mask predictor; implementations must be deterministic."""
 
     def segment(self, frame: FrameGrid) -> StoneMask: ...
-
-
-@dataclass(frozen=True, eq=False)
-class SoftMask:
-    """Per-pixel stone probabilities in [0, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValidationError("soft mask must be a 2D grid")
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
-            raise ValidationError("soft mask values must lie in [0, 1]")
-        object.__setattr__(self, "values", v)
 
 
 def _bits(mask: MaskLike) -> np.ndarray:
@@ -62,8 +47,6 @@ def _bits(mask: MaskLike) -> np.ndarray:
 
 
 def _probs(p: ProbLike) -> np.ndarray:
-    if isinstance(p, SoftMask):
-        return p.values
     arr = np.asarray(p, dtype=np.float64)
     if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise ValidationError("probabilities must lie in [0, 1]")

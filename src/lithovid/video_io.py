@@ -47,8 +47,8 @@ class RawVideo:
     truth_label: Optional[MorphClass] = None
 
     def __post_init__(self) -> None:
-        if self.native_fps <= 0:
-            raise ValidationError(f"native_fps must be positive, got {self.native_fps}")
+        if not 0 < self.native_fps < math.inf:
+            raise ValidationError(f"native_fps must be positive and finite, got {self.native_fps}")
         frames = tuple(self.frames)
         for i, f in enumerate(frames):
             if f.dtype != np.uint8 or f.ndim != 3 or f.shape[2] != 3:

@@ -142,7 +142,7 @@ def run_full_execution() -> Execution:
         for i in range(20):
             spec = clean_spec(CLEAN_BASE + label.rank * 100 + i, label, 10.0)
             video, _, _ = generate_phantom(spec)
-            tl = run_raw_video(video, oracle_factory, model)
+            tl = run_raw_video(video, oracle_factory, model)[Variant.FULL]
             pairs.append((label, tl))
             hasher.update(timeline_to_json(tl, truth_label=label, variant=Variant.FULL).encode())
     tally = ConfusionTally.from_pairs([(t, tl.decision) for t, tl in pairs])
@@ -188,7 +188,7 @@ def run_full_execution() -> Execution:
         for i in range(10):
             spec = clean_spec(MIXED_BASE + label.rank * 100 + i, label, 10.0)
             video, _, _ = generate_phantom(spec)
-            tl = run_raw_video(video, oracle_factory, model)
+            tl = run_raw_video(video, oracle_factory, model)[Variant.FULL]
             outcomes[label].append((tl.decision, tl.decision_path))
             hasher.update(timeline_to_json(tl, truth_label=label, variant=Variant.FULL).encode())
     mixed_report = "\n".join(
@@ -512,7 +512,7 @@ def test_c09_throughput_real_time_budget():
     video, _, _ = generate_phantom(clean_spec(909, IA, 60.0))
     frames, _ = normalize_video(video)
     started = time.perf_counter()
-    timeline = run_timeline("throughput", frames, chroma, model)
+    timeline = run_timeline("throughput", frames, chroma, model)[Variant.FULL]
     elapsed = time.perf_counter() - started
     fps = len(frames) / elapsed
     ok = fps >= 8.0

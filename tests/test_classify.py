@@ -294,10 +294,10 @@ class TestScoreImport:
 
     def test_export_import_round_trip_is_bit_faithful(self, tmp_path, small_model, oracle_factory):
         from lithovid.phantom import clean_spec, generate_phantom
-        from lithovid.pipeline import run_raw_video
+        from lithovid.pipeline import Variant, run_raw_video
 
         video, _, _ = generate_phantom(clean_spec(7, IA, 2.0))
-        timeline = run_raw_video(video, oracle_factory, small_model)
+        timeline = run_raw_video(video, oracle_factory, small_model)[Variant.FULL]
         rows = scores_of_timeline(timeline)
         path = tmp_path / "scores.csv"
         export_scores(rows, path)

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lithovid.cli import main
@@ -150,6 +152,60 @@ class TestRunCommand:
         overlays = list((out / "overlays" / "Ia-clean-000").glob("frame_*.ppm"))
         assert len(overlays) == 48  # 6 s at 8 Hz
 
+    def test_overlay_segments_each_frame_once(self, workspace, tmp_path, monkeypatch):
+        from lithovid.cli import render_overlay
+        from lithovid.segmentation import ChromaSegmenter
+        from lithovid.video_io import list_video_dirs, load_stream, normalize_video, read_ppm
+
+        segment = ChromaSegmenter.segment
+        calls = []
+
+        def counting(self, frame):
+            calls.append(frame.stream_index)
+            return segment(self, frame)
+
+        monkeypatch.setattr(ChromaSegmenter, "segment", counting)
+        args = ["--segmenter", "chroma", "--calibration", str(workspace / "cal.json"),
+                "--classifier", "centroid", "--model", str(workspace / "model.json")]
+        plain, overlaid = tmp_path / "plain", tmp_path / "overlaid"
+        videos = ["--videos", str(workspace / "cohort")]
+        assert main(["run", *videos, "--out", str(plain), *args]) == 0
+        calls.clear()
+        assert main(["run", *videos, "--out", str(overlaid), *args, "--overlay"]) == 0
+        monkeypatch.setattr(ChromaSegmenter, "segment", segment)
+
+        chroma = ChromaSegmenter.load(workspace / "cal.json")
+        frames_seen = 0
+        for video_dir in list_video_dirs(workspace / "cohort"):
+            name = f"{video_dir.name}.json"
+            text = (overlaid / name).read_text("utf-8")
+            assert text == (plain / name).read_text("utf-8")
+            timeline, _, _ = timeline_from_json(text)
+            frames, _ = normalize_video(load_stream(video_dir))
+            for rec, frame in zip(timeline.records, frames):
+                label = rec.label.display if rec.qc.passed else "X"
+                expected = render_overlay(frame, chroma.segment(frame), label)
+                ppm = overlaid / "overlays" / video_dir.name / f"frame_{rec.stream_index:06d}.ppm"
+                assert np.array_equal(read_ppm(ppm), expected)
+            frames_seen += len(frames)
+        assert len(calls) == frames_seen
+
+    @pytest.mark.parametrize("fps", [math.nan, math.inf])
+    def test_non_finite_native_fps_is_data_error(self, workspace, tmp_path, capsys, fps):
+        import shutil
+
+        videos = tmp_path / "videos"
+        shutil.copytree(workspace / "cohort" / "Ia-clean-000", videos / "Ia-clean-000")
+        manifest = videos / "Ia-clean-000" / "manifest.json"
+        payload = json.loads(manifest.read_text("utf-8"))
+        payload["native_fps"] = fps  # written as the JSON extensions NaN / Infinity
+        manifest.write_text(json.dumps(payload), "utf-8")
+        code = main(["run", "--videos", str(videos), "--out", str(tmp_path / "o"),
+                     "--variant", "no-qc", "--classifier", "centroid",
+                     "--model", str(workspace / "model.json")])
+        assert code == 2
+        assert "native_fps" in capsys.readouterr().err
+
     def test_qc_threshold_overrides(self, workspace, tmp_path):
         out = tmp_path / "strict"
         assert main(["run", "--videos", str(workspace / "cohort"), "--out", str(out),
@@ -210,6 +266,25 @@ class TestEvalCommand:
         assert code == 2
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest", ["{not json", '{"native_fps": 8.0, "frames": []}'])
+    def test_bad_truth_manifest_is_data_error_naming_file(
+        self, workspace, tmp_path, capsys, manifest
+    ):
+        bad = tmp_path / "truth" / "v" / "manifest.json"
+        bad.parent.mkdir(parents=True)
+        bad.write_text(manifest, "utf-8")
+        code = main(["eval", "--timelines", str(workspace / "timelines"),
+                     "--truth", str(bad.parent.parent), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_missing_truth_directory_is_data_error(self, workspace, tmp_path, capsys):
+        absent = tmp_path / "absent"
+        code = main(["eval", "--timelines", str(workspace / "timelines"),
+                     "--truth", str(absent), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert str(absent) in capsys.readouterr().err
+
 
 class TestReportCommand:
     def test_adversarial_full_beats_noqc_in_report(self, tmp_path):
@@ -256,6 +331,40 @@ class TestReportCommand:
         assert len(combined) == 11  # header + 2 variants x 5 classes
         text = (merged / "combined.txt").read_text("utf-8")
         assert "full" in text and "no-qc" in text
+
+    @pytest.mark.parametrize("line, old, new", [
+        (1, "f1", "f-one"),                                # header
+        (3, ",74.60", ""),                                 # one field short
+        (3, ",85.00,80.00,90.00,70.00,74.60", ""),         # no metric fields
+        (3, "74.60", "74.60,1.00"),                        # one field too many
+        (2, "full,Ia,85.00,80.00,90.00,70.00,74.60", ""),  # blank line
+        (3, "full", "no-gate"),                            # unknown variant
+        (4, "80.00", "abc"),                               # not a number
+        (4, "74.60", "nan"),                               # not finite
+        (6, "90.00", "inf"),
+    ])
+    def test_bad_metrics_csv_is_data_error_naming_line(self, tmp_path, capsys, line, old, new):
+        from lithovid.evaluate import ClassMetrics, metrics_csv
+        from lithovid.pipeline import Variant
+
+        m = ClassMetrics(sensitivity=0.8, specificity=0.9, precision=0.7,
+                         balanced_accuracy=0.85, f1=0.746)
+        lines = metrics_csv({Variant.FULL: {c: m for c in CANONICAL_ORDER}}).splitlines()
+        assert old in lines[line - 1]
+        lines[line - 1] = lines[line - 1].replace(old, new)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n", "utf-8")
+        code = main(["report", "--inputs", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{bad}:{line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"variant,class\xff\n"])
+    def test_unreadable_metrics_file_is_data_error(self, tmp_path, capsys, content):
+        path = tmp_path / "metrics.csv"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["report", "--inputs", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -49,6 +49,28 @@ class TestMorphClass:
                     if canonical_order(a, b) <= 0 and canonical_order(b, c) <= 0:
                         assert canonical_order(a, c) <= 0
 
+    def test_comparison_operators_follow_canonical_order(self):
+        for a in CANONICAL_ORDER:
+            for b in CANONICAL_ORDER:
+                order = canonical_order(a, b)
+                assert (a < b) == (order < 0)
+                assert (a <= b) == (order <= 0)
+                assert (a > b) == (order > 0)
+                assert (a >= b) == (order >= 0)
+
+    @pytest.mark.parametrize("other", [0, "Ia", None, 0.5])
+    def test_comparison_with_other_types_raises(self, other):
+        for compare in (
+            lambda: MorphClass.IA < other,
+            lambda: MorphClass.IA <= other,
+            lambda: MorphClass.IA > other,
+            lambda: MorphClass.IA >= other,
+            lambda: other < MorphClass.IA,
+            lambda: other >= MorphClass.IA,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+
     def test_tag_round_trip(self):
         for c in MorphClass:
             assert MorphClass.from_tag(c.tag) is c

@@ -213,7 +213,7 @@ class TestTimelineJson:
         from lithovid.pipeline import run_raw_video
 
         video, _, _ = generate_phantom(clean_spec(3, IAIIB, 2.0))
-        tl = run_raw_video(video, oracle_factory, small_model)
+        tl = run_raw_video(video, oracle_factory, small_model)[Variant.FULL]
         text = timeline_to_json(tl, truth_label=IAIIB, variant=Variant.FULL)
         back, truth, variant = timeline_from_json(text)
         assert truth is IAIIB
@@ -263,7 +263,7 @@ class TestPhantomCohortStatistics:
         timelines = []
         for i in range(20):
             video, _, _ = generate_phantom(clean_spec(7000 + i, IA, 5.0))
-            timelines.append(run_raw_video(video, oracle_factory, small_model))
+            timelines.append(run_raw_video(video, oracle_factory, small_model)[Variant.FULL])
         out = framewise_analysis({IA: timelines})
         assert out[IA][IA].mean >= 0.9
 
@@ -274,9 +274,9 @@ class TestPhantomCohortStatistics:
         clean, advers = [], []
         for i in range(3):
             video, _, _ = generate_phantom(clean_spec(8100 + i, IIB, 6.0))
-            clean.append(run_raw_video(video, oracle_factory, small_model))
+            clean.append(run_raw_video(video, oracle_factory, small_model)[Variant.FULL])
             video, _, _ = generate_phantom(adversarial_spec(8100 + i, IIB, 6.0))
-            advers.append(run_raw_video(video, oracle_factory, small_model))
+            advers.append(run_raw_video(video, oracle_factory, small_model)[Variant.FULL])
         assert qc_pass_stats(advers).mean < qc_pass_stats(clean).mean
 
 
@@ -318,8 +318,130 @@ class TestAblationSmoke:
         def factory(frames, truths):
             return OracleSegmenter.from_masks(truths)
 
-        a = run_raw_video(video, factory, small_model, variant=Variant.FULL)
-        b = run_raw_video(recolored, factory, small_model, variant=Variant.FULL)
+        a = run_raw_video(video, factory, small_model)[Variant.FULL]
+        b = run_raw_video(recolored, factory, small_model)[Variant.FULL]
         assert [r.label for r in a.records if r.qc.passed] == [
             r.label for r in b.records if r.qc.passed
         ]
+
+
+def reference_timeline(video_id, frames, segmenter, classifier, variant):
+    """One variant on its own, as separate per-variant loops compute it."""
+    from lithovid.decision import LabelCensus, decide
+    from lithovid.pipeline import FULL_FRAME_MASK
+    from lithovid.qc import check_frame
+
+    records = []
+    previous = None
+    for frame in frames:
+        if variant is Variant.NO_QC:
+            scores = classifier.predict(frame, FULL_FRAME_MASK)
+            records.append(PredictionRecord.passing(frame.stream_index, scores))
+            continue
+        mask = segmenter.segment(frame)
+        verdict = check_frame(mask, previous)
+        previous = mask
+        if not verdict.passed:
+            records.append(PredictionRecord.rejected(frame.stream_index, verdict))
+            continue
+        scores = classifier.predict(frame, mask if variant is Variant.FULL else FULL_FRAME_MASK)
+        records.append(PredictionRecord.passing(frame.stream_index, scores, dsc=verdict.dsc))
+    labels = [r.label for r in records if r.qc.passed]
+    decision, path = decide(LabelCensus.from_labels(labels)) if labels else (None, None)
+    return VideoTimeline(video_id, tuple(records), decision=decision, decision_path=path)
+
+
+class CountingClassifier:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def predict(self, frame, mask):
+        self.calls += 1
+        return self.inner.predict(frame, mask)
+
+
+def adversarial_video(seed, label, seconds):
+    from lithovid.phantom import adversarial_spec, generate_phantom
+
+    video, _, _ = generate_phantom(adversarial_spec(seed, label, seconds))
+    return video
+
+
+class TestOnePassVariants:
+    def test_any_variant_set_matches_single_variant_runs(self, small_model, oracle_factory):
+        from itertools import combinations
+
+        from lithovid.pipeline import run_raw_video
+        from lithovid.video_io import normalize_video
+
+        video = adversarial_video(601, IA, 4.0)
+        full = run_raw_video(video, oracle_factory, small_model)[Variant.FULL]
+        # frames rejected for coverage, instability and no reference, and passing frames
+        assert {r.qc.tag for r in full.records} == set(QcTag)
+
+        frames, truths = normalize_video(video)
+        segmenter = oracle_factory(frames, truths)
+        expected = {
+            v: timeline_to_json(
+                reference_timeline(video.video_id, frames, segmenter, small_model, v), variant=v
+            )
+            for v in Variant
+        }
+        passing = sum(1 for r in full.records if r.qc.passed)
+        for size in (1, 2, 3):
+            for variants in combinations(list(Variant), size):
+                classifier = CountingClassifier(small_model)
+                got = run_raw_video(video, oracle_factory, classifier, variants=variants)
+                assert list(got) == list(variants)
+                for v, tl in got.items():
+                    assert timeline_to_json(tl, variant=v) == expected[v], (variants, v)
+                # one stone-mask call per passing frame for full, one whole-frame
+                # call per frame shared by no-masking (passing frames) and no-qc
+                whole = passing if Variant.NO_MASKING in got else 0
+                if Variant.NO_QC in got:
+                    whole = len(frames)
+                stone = passing if Variant.FULL in got else 0
+                assert classifier.calls == stone + whole
+
+    def test_ablation_segments_gates_and_classifies_each_frame_once(
+        self, small_model, oracle_factory, monkeypatch
+    ):
+        import lithovid.pipeline as pipeline
+        from lithovid.segmentation import OracleSegmenter
+
+        calls = {"normalize": 0, "segment": 0, "check": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "normalize_video",
+                            counting("normalize", pipeline.normalize_video))
+        monkeypatch.setattr(pipeline, "check_frame", counting("check", pipeline.check_frame))
+        monkeypatch.setattr(OracleSegmenter, "segment",
+                            counting("segment", OracleSegmenter.segment))
+        classifier = CountingClassifier(small_model)
+        videos = [(adversarial_video(610 + c.rank, c, 3.0), c) for c in CANONICAL_ORDER]
+
+        results = run_ablation(iter(videos), oracle_factory, classifier)
+        full = results[Variant.FULL].timelines
+        frames = sum(len(tl.records) for tl in full)
+        passing = sum(1 for tl in full for r in tl.records if r.qc.passed)
+        assert 0 < passing < frames
+        assert calls == {"normalize": len(videos), "segment": frames, "check": frames}
+        assert classifier.calls == passing + frames
+
+    def test_no_qc_alone_never_builds_a_segmenter(self, small_model):
+        def factory(frames, truths):
+            raise AssertionError("segmenter factory called for no-qc")
+
+        classifier = CountingClassifier(small_model)
+        videos = [(adversarial_video(620 + c.rank, c, 2.0), c) for c in CANONICAL_ORDER]
+        results = run_ablation(iter(videos), factory, classifier, variants=(Variant.NO_QC,))
+        assert list(results) == [Variant.NO_QC]
+        frames = sum(len(tl.records) for tl in results[Variant.NO_QC].timelines)
+        assert classifier.calls == frames

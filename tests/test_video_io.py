@@ -15,6 +15,7 @@ from lithovid.errors import (
     EmptyVideo,
     MissingFrame,
     TooSmall,
+    ValidationError,
 )
 from lithovid.phantom import clean_spec, generate_phantom
 from lithovid.video_io import (
@@ -80,6 +81,11 @@ class TestResample:
     def test_empty_video_raises(self):
         with pytest.raises(EmptyVideo):
             resample_temporal(RawVideo(video_id="e", native_fps=10.0, frames=()))
+
+    @pytest.mark.parametrize("fps", [0.0, -8.0, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_native_fps_outside_positive_finite(self, fps):
+        with pytest.raises(ValidationError, match="native_fps"):
+            gradient_video(4, fps)
 
     def test_idempotent_at_8hz(self):
         v = resample_temporal(gradient_video(50, 25.0))
