@@ -54,20 +54,12 @@ def _check_shapes(frame: FrameGrid, mask: StoneMask) -> None:
         )
 
 
-def apply_mask(frame: FrameGrid, mask: StoneMask) -> FrameGrid:
-    """Zero every pixel outside the mask; stone pixels pass unchanged."""
-    _check_shapes(frame, mask)
-    out = frame.pixels.copy()
-    out[~mask.bits] = 0
-    return FrameGrid(out, stream_index=frame.stream_index)
-
-
 def features(frame: FrameGrid, mask: StoneMask) -> np.ndarray:
     """L1-normalized color + gradient histogram over the stone pixels only.
 
-    Computed as on the masked frame (apply_mask), so nothing outside the
-    mask can leak into the feature vector: gradients at the stone border
-    see zeros, never the actual background.
+    Computed as on a frame whose pixels outside the mask are zeroed, so
+    nothing outside the mask can leak into the feature vector: gradients
+    at the stone border see zeros, never the actual background.
     """
     if mask.empty:
         raise EmptyMask("cannot featurize an empty mask")
@@ -119,13 +111,15 @@ class CentroidModel:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self) -> None:
-        if self.beta < 0:
-            raise ValidationError("beta must be non-negative")
+        if not 0 <= self.beta < math.inf:
+            raise ValidationError(f"beta must be finite and non-negative, got {self.beta!r}")
         cents = {}
         for c, v in self.centroids.items():
             arr = np.asarray(v, dtype=np.float64)
             if arr.shape != (FEATURE_DIM,):
                 raise ValidationError(f"centroid for {c.tag} has shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"centroid for {c.tag} has non-finite values")
             arr = arr.copy()
             arr.setflags(write=False)
             cents[c] = arr
@@ -160,7 +154,7 @@ class CentroidModel:
                 for tag, vec in payload["centroids"].items()
             }
             return cls(centroids=centroids, beta=float(payload["beta"]))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ValidationError) as exc:
             raise NotTrained(f"cannot load model from {path}: {exc}") from None
 
 
@@ -188,7 +182,7 @@ def train_centroid(
     return CentroidModel(centroids=centroids, beta=beta)
 
 
-# -- external score import / export -------------------------------------------
+# -- external score import ----------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,64 +205,49 @@ def import_scores(path: Path) -> dict[int, dict[MorphClass, float]]:
 
     Each row must sum to 1 within 1e-6. Rows are renormalized to an
     exact unit sum only when they are not already there at float
-    precision, so exporting and re-importing pipeline scores is
-    bit-faithful.
+    precision, so pipeline scores written with repr() re-import
+    bit-faithfully.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedRow(f"cannot read scores {path}: {exc}") from None
+    if not rows:
+        raise MalformedRow(f"{path} is empty")
+    header = rows[0]
+    if [h.strip() for h in header] != SCORE_HEADER:
+        for col in header[1:]:
+            if col.strip() not in {c.tag for c in CANONICAL_ORDER}:
+                raise UnknownClass(f"{path}: unknown class column {col.strip()!r}")
+        raise MalformedRow(f"{path}: header must be {','.join(SCORE_HEADER)}")
+    out: dict[int, dict[MorphClass, float]] = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 6:
+            raise MalformedRow(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(f"{path} is empty") from None
-        if [h.strip() for h in header] != SCORE_HEADER:
-            for col in header[1:]:
-                if col.strip() not in {c.tag for c in CANONICAL_ORDER}:
-                    raise UnknownClass(f"{path}: unknown class column {col.strip()!r}")
-            raise MalformedRow(f"{path}: header must be {','.join(SCORE_HEADER)}")
-        out: dict[int, dict[MorphClass, float]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise MalformedRow(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-            try:
-                frame_idx = int(row[0])
-                values = [float(x) for x in row[1:]]
-            except ValueError as exc:
-                raise MalformedRow(f"{path}:{lineno}: {exc}") from None
-            if frame_idx < 0:
-                raise MalformedRow(f"{path}:{lineno}: negative frame index")
-            if frame_idx in out:
-                raise MalformedRow(f"{path}:{lineno}: duplicate frame {frame_idx}")
-            if not all(math.isfinite(v) for v in values):
-                raise MalformedRow(f"{path}:{lineno}: non-finite score")
-            if any(v < 0 for v in values):
-                raise MalformedRow(f"{path}:{lineno}: negative score")
-            total = sum(values)
-            if abs(total - 1.0) > IMPORT_SUM_TOL:
-                raise ScoreSumViolation(
-                    f"{path}:{lineno}: scores sum to {total!r}, not 1 within {IMPORT_SUM_TOL}"
-                )
-            if abs(total - 1.0) > 1e-12:
-                values = [v / total for v in values]
-            out[frame_idx] = dict(zip(CANONICAL_ORDER, values))
+            frame_idx = int(row[0])
+            values = [float(x) for x in row[1:]]
+        except ValueError as exc:
+            raise MalformedRow(f"{path}:{lineno}: {exc}") from None
+        if frame_idx < 0:
+            raise MalformedRow(f"{path}:{lineno}: negative frame index")
+        if frame_idx in out:
+            raise MalformedRow(f"{path}:{lineno}: duplicate frame {frame_idx}")
+        if not all(math.isfinite(v) for v in values):
+            raise MalformedRow(f"{path}:{lineno}: non-finite score")
+        if any(v < 0 for v in values):
+            raise MalformedRow(f"{path}:{lineno}: negative score")
+        total = sum(values)
+        if abs(total - 1.0) > IMPORT_SUM_TOL:
+            raise ScoreSumViolation(
+                f"{path}:{lineno}: scores sum to {total!r}, not 1 within {IMPORT_SUM_TOL}"
+            )
+        if abs(total - 1.0) > 1e-12:
+            values = [v / total for v in values]
+        out[frame_idx] = dict(zip(CANONICAL_ORDER, values))
     return out
 
-
-def export_scores(
-    rows: Mapping[int, Mapping[MorphClass, float]],
-    path: Path,
-) -> None:
-    """Write per-frame scores in the import format, full float precision."""
-    path = Path(path)
-    lines = [",".join(SCORE_HEADER)]
-    for idx in sorted(rows):
-        scores = rows[idx]
-        lines.append(",".join([str(idx)] + [repr(float(scores[c])) for c in CANONICAL_ORDER]))
-    path.write_text("\n".join(lines) + "\n", "utf-8")
-
-
-def scores_of_timeline(timeline) -> dict[int, Mapping[MorphClass, float]]:
-    """Per-frame score rows for the QC-passing records of a timeline."""
-    return {r.stream_index: r.scores for r in timeline.records if r.qc.passed}

@@ -5,10 +5,10 @@ Subcommands: phantom (generate labeled synthetic cohorts), calibrate-seg
 (execute the pipeline over a cohort), eval (score timelines against
 ground truth) and report (merge per-variant metric files).
 
-Every command is deterministic given its flags and --seed; repeated
-invocations produce byte-identical outputs. Exit codes: 0 success,
-1 usage error, 2 data error, 3 internal invariant violation.
-LITHO_WORKERS caps per-video parallelism in `run`.
+Every command is deterministic given its flags (run takes no --seed: it
+draws no random numbers); repeated invocations produce byte-identical
+outputs. Exit codes: 0 success, 1 usage error, 2 data error, 3 internal
+invariant violation. LITHO_WORKERS caps per-video parallelism in `run`.
 """
 
 from __future__ import annotations
@@ -77,21 +77,20 @@ def _workers() -> int:
     return n
 
 
-def _load_run_config(path: Optional[str]) -> dict:
-    if path is None:
+def _load_run_config(args) -> dict:
+    """The `run` config file as a dict keyed by the dests of run's flags."""
+    if args.config is None:
         return {}
-    p = Path(path)
+    p = Path(args.config)
     if not p.is_file():
         raise LithovidError(f"config file not found: {p}")
     try:
         payload = json.loads(p.read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise LithovidError(f"config {p} is not valid JSON: {exc}") from None
-    known = {
-        "videos", "out", "segmenter", "calibration", "masks", "classifier",
-        "model", "scores", "variant", "min_coverage", "min_dsc", "overlay", "seed",
-    }
-    unknown = set(payload) - known
+    if not isinstance(payload, dict):
+        raise LithovidError(f"config {p} must be a JSON object")
+    unknown = set(payload) - (set(vars(args)) - {"command", "func", "config"})
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return payload
@@ -272,7 +271,7 @@ def cmd_train_cls(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _load_run_config(args.config)
+    config = _load_run_config(args)
 
     def pick(flag_value, key, default):
         if flag_value is not None:
@@ -353,10 +352,12 @@ def _truth_lookup(truth_root: Optional[str]) -> dict[str, MorphClass]:
         try:
             manifest = json.loads(path.read_text("utf-8"))
             video_id = manifest["video_id"]
-            for entry in manifest.get("frames", []):
-                if entry.get("truth_label"):
-                    table[video_id] = MorphClass.from_tag(entry["truth_label"])
-                    break
+            labels = {MorphClass.from_tag(entry["truth_label"])
+                      for entry in manifest.get("frames", []) if entry.get("truth_label")}
+            if len(labels) > 1:
+                raise CorruptManifest(f"{path}: inconsistent truth labels across frames")
+            if labels:
+                table[video_id] = labels.pop()
         except (LithovidError, OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CorruptManifest(f"{path} is not a valid manifest: {exc!r}") from None
     return table
@@ -499,7 +500,6 @@ def build_parser() -> _Parser:
     p.add_argument("--min-coverage", type=float, dest="min_coverage")
     p.add_argument("--min-dsc", type=float, dest="min_dsc")
     p.add_argument("--overlay", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="score timelines against ground truth")

@@ -7,6 +7,7 @@ after construction and safe to share between workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import total_ordering
@@ -98,7 +99,10 @@ def canonical_order(a: MorphClass, b: MorphClass) -> int:
 
 def argmax_scores(scores: Mapping[MorphClass, float]) -> MorphClass:
     """Highest-scoring class, exact ties broken by canonical order."""
-    best = max(scores.values())
+    for c, s in scores.items():
+        if not math.isfinite(s):
+            raise ValidationError(f"non-finite score {s!r} for {c.tag}")
+    best = max(scores.values(), default=None)
     for c in CANONICAL_ORDER:
         if c in scores and scores[c] == best:
             return c
@@ -117,8 +121,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class FrameGrid:
     """One normalized RGB frame of the 8 Hz stream.
 
-    Pixels are 256x256x3 uint8. The timestamp is derived from the
-    stream index on the 8 Hz grid, so it is consistent by construction.
+    Pixels are 256x256x3 uint8; stream_index is the frame's position on
+    the 8 Hz grid.
     """
 
     pixels: np.ndarray
@@ -133,18 +137,6 @@ class FrameGrid:
         if self.stream_index < 0:
             raise ValidationError("stream_index must be non-negative")
         object.__setattr__(self, "pixels", _frozen(px))
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def timestamp(self) -> float:
-        return self.stream_index / STREAM_FPS
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,14 +154,6 @@ class StoneMask:
                 raise ValidationError("mask values must be binary")
             b = b.astype(bool)
         object.__setattr__(self, "bits", _frozen(b))
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
 
     @property
     def count(self) -> int:
@@ -297,10 +281,6 @@ class VideoTimeline:
         if (self.decision is None) != (self.decision_path is None):
             raise ValidationError("decision and decision_path must be present together")
         object.__setattr__(self, "records", records)
-
-    @property
-    def passing(self) -> tuple[PredictionRecord, ...]:
-        return tuple(r for r in self.records if r.qc.passed)
 
     @property
     def labels(self) -> tuple[MorphClass, ...]:

@@ -49,10 +49,6 @@ class NoTruthAvailable(LithovidError):
     pass
 
 
-class ParamOutOfRange(LithovidError):
-    pass
-
-
 # classification
 class MissingClass(LithovidError):
     pass

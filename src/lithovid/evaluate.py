@@ -248,7 +248,7 @@ def timeline_to_json(
         "decision": None if timeline.decision is None else timeline.decision.tag,
         "decision_path": None if timeline.decision_path is None else timeline.decision_path.value,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def timeline_from_json(text: str) -> tuple[VideoTimeline, Optional[MorphClass], Optional[Variant]]:

@@ -3,8 +3,8 @@
 The trained network that produces clinical masks is out of scope here;
 segmentation runs behind a small interface with two shippable
 implementations (ground-truth pass-through for phantom streams and a
-calibrated color-distance heuristic), plus the loss/similarity math and
-the augmentation transforms used when training an external model.
+calibrated color-distance heuristic), plus the Dice similarity the QC
+gate uses and the reference losses of the external model's training.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import FrameGrid, StoneMask
-from .errors import (
-    DimensionMismatch,
-    NoTruthAvailable,
-    NotCalibrated,
-    ParamOutOfRange,
-    ValidationError,
-)
-from .rng import stream
+from .errors import DimensionMismatch, NoTruthAvailable, NotCalibrated, ValidationError
 
 BCE_EPS = 1e-7
 
@@ -115,118 +108,6 @@ def combined_loss(p: ProbLike, t: MaskLike, smooth: float = 1.0) -> float:
     return bce_loss(p, t) + dice_loss(p, t, smooth=smooth)
 
 
-# -- augmentation -------------------------------------------------------------
-
-ROTATION_BOUNDS = (-45.0, 45.0)
-ZOOM_BOUNDS = (1.0, 1.3)
-BRIGHTNESS_BOUNDS = (0.2, 1.0)
-SHIFT_BOUNDS = (-0.2, 0.2)
-
-
-def _check_range(name: str, rng: tuple[float, float], bounds: tuple[float, float]) -> None:
-    lo, hi = rng
-    if not (bounds[0] <= lo <= hi <= bounds[1]):
-        raise ParamOutOfRange(f"{name} range {rng} outside {bounds}")
-
-
-@dataclass(frozen=True)
-class AugmentSpec:
-    """Sampling ranges for one augmentation draw.
-
-    Flip fields: None = random coin, True/False = forced. Degenerate
-    ranges pin a parameter, so the neutral spec is the identity.
-    """
-
-    hflip: Optional[bool] = None
-    vflip: Optional[bool] = None
-    rotation_deg: tuple[float, float] = ROTATION_BOUNDS
-    zoom: tuple[float, float] = ZOOM_BOUNDS
-    brightness: tuple[float, float] = BRIGHTNESS_BOUNDS
-    shift: tuple[float, float] = SHIFT_BOUNDS
-
-    def __post_init__(self) -> None:
-        _check_range("rotation_deg", self.rotation_deg, ROTATION_BOUNDS)
-        _check_range("zoom", self.zoom, ZOOM_BOUNDS)
-        _check_range("brightness", self.brightness, BRIGHTNESS_BOUNDS)
-        _check_range("shift", self.shift, SHIFT_BOUNDS)
-
-    @classmethod
-    def neutral(cls) -> "AugmentSpec":
-        return cls(
-            hflip=False,
-            vflip=False,
-            rotation_deg=(0.0, 0.0),
-            zoom=(1.0, 1.0),
-            brightness=(1.0, 1.0),
-            shift=(0.0, 0.0),
-        )
-
-
-def _sample_bilinear_zero(img: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Bilinear gather with zero contribution outside the source grid."""
-    h, w = img.shape[:2]
-    x0 = np.floor(sx).astype(np.intp)
-    y0 = np.floor(sy).astype(np.intp)
-    wx = sx - x0
-    wy = sy - y0
-    out = np.zeros(sx.shape + (img.shape[2],), dtype=np.float64)
-    for dy, fy in ((0, 1.0 - wy), (1, wy)):
-        for dx, fx in ((0, 1.0 - wx), (1, wx)):
-            xi = x0 + dx
-            yi = y0 + dy
-            ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            weight = (fy * fx * ok)[..., None]
-            vals = img[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)].astype(np.float64)
-            out += weight * vals
-    return out
-
-
-def _affine_resample(img: np.ndarray, rot_deg: float, scale: float, shift_px: tuple[float, float]) -> np.ndarray:
-    h, w = img.shape[:2]
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    xc = xs - cx - shift_px[0]
-    yc = ys - cy - shift_px[1]
-    theta = math.radians(rot_deg)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    # inverse map of rotate-then-zoom about the center
-    sx = (cos_t * xc + sin_t * yc) / scale + cx
-    sy = (-sin_t * xc + cos_t * yc) / scale + cy
-    sampled = _sample_bilinear_zero(img, sx, sy)
-    return np.floor(sampled + 0.5).astype(np.uint8)
-
-
-def augment(frame: FrameGrid, spec: AugmentSpec = AugmentSpec(), seed: int = 0) -> FrameGrid:
-    """Apply flips, rotation, zoom, brightness and shift, in that order.
-
-    Parameters are drawn from the spec ranges by a generator keyed on
-    the seed, so a given (spec, seed) pair always yields the same frame.
-    """
-    rng = stream(seed, "augment")
-    hflip = bool(rng.integers(0, 2)) if spec.hflip is None else spec.hflip
-    vflip = bool(rng.integers(0, 2)) if spec.vflip is None else spec.vflip
-    rot = float(rng.uniform(*spec.rotation_deg))
-    zoom = float(rng.uniform(*spec.zoom))
-    bright = float(rng.uniform(*spec.brightness))
-    sx = float(rng.uniform(*spec.shift))
-    sy = float(rng.uniform(*spec.shift))
-
-    arr = frame.pixels
-    if hflip:
-        arr = arr[:, ::-1]
-    if vflip:
-        arr = arr[::-1, :]
-    if rot != 0.0:
-        arr = _affine_resample(arr, rot, 1.0, (0.0, 0.0))
-    if zoom != 1.0:
-        arr = _affine_resample(arr, 0.0, zoom, (0.0, 0.0))
-    if bright != 1.0:
-        arr = np.clip(np.floor(arr.astype(np.float64) * bright + 0.5), 0, 255).astype(np.uint8)
-    if sx != 0.0 or sy != 0.0:
-        arr = _affine_resample(arr, 0.0, 1.0, (sx * frame.width, sy * frame.height))
-    return FrameGrid(np.ascontiguousarray(arr), stream_index=frame.stream_index)
-
-
 # -- mask cleanup -------------------------------------------------------------
 
 
@@ -280,8 +161,10 @@ class ChromaSegmenter:
     def __post_init__(self) -> None:
         mean = np.asarray(self.background_mean, dtype=np.float64).reshape(3)
         cov = np.asarray(self.background_cov, dtype=np.float64).reshape(3, 3)
-        if self.tau <= 0:
-            raise NotCalibrated("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise NotCalibrated(f"tau must be positive and finite, got {self.tau!r}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise NotCalibrated("background mean and covariance must be finite")
         try:
             inv = np.linalg.inv(cov)
         except np.linalg.LinAlgError:

@@ -70,10 +70,6 @@ class RawVideo:
     def __len__(self) -> int:
         return len(self.frames)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.frames) / self.native_fps
-
 
 def _grid_indices(n: int, native_fps: float, target_fps: float) -> list[int]:
     """Native frame index for each output frame of resample_temporal."""

@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
-from lithovid.classify import train_centroid
-from lithovid.core import FrameGrid, StoneMask
+from lithovid.classify import SCORE_HEADER, train_centroid
+from lithovid.core import CANONICAL_ORDER
 from lithovid.phantom import training_stills
 from lithovid.segmentation import OracleSegmenter
 
@@ -21,16 +20,13 @@ def oracle_factory():
     return factory
 
 
-def make_frame(value=120, stream_index=0):
-    return FrameGrid(np.full((256, 256, 3), value, dtype=np.uint8), stream_index=stream_index)
+def write_score_csv(path, rows):
+    """Write {stream index: scores} as an import CSV, one repr(float) per cell.
 
-
-def make_mask(bits):
-    return StoneMask(np.asarray(bits, dtype=bool))
-
-
-def square_mask(side=256, size=100, at=(60, 60)):
-    bits = np.zeros((side, side), dtype=bool)
-    y, x = at
-    bits[y : y + size, x : x + size] = True
-    return StoneMask(bits)
+    repr round-trips a float exactly, so import_scores reads back the same
+    floats.
+    """
+    lines = [",".join(SCORE_HEADER)]
+    for idx, scores in sorted(rows.items()):
+        lines.append(",".join([str(idx)] + [repr(float(scores[c])) for c in CANONICAL_ORDER]))
+    path.write_text("\n".join(lines) + "\n", "utf-8")

@@ -1,16 +1,16 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lithovid.classify import (
     CentroidModel,
     ScoreTable,
-    apply_mask,
-    export_scores,
     features,
     import_scores,
-    scores_of_timeline,
     softmin_scores,
     train_centroid,
 )
@@ -19,14 +19,18 @@ from lithovid.errors import (
     DimensionMismatch,
     EmptyMask,
     EmptyMaskSample,
+    LithovidError,
     MalformedRow,
     MissingClass,
     MissingScore,
     NotTrained,
     ScoreSumViolation,
     UnknownClass,
+    ValidationError,
 )
 from lithovid.phantom import make_still, training_stills
+
+from conftest import write_score_csv
 
 IA, IIB, IIIB, IAIIB, IAIIIB = CANONICAL_ORDER
 
@@ -40,36 +44,6 @@ def block_mask(y0=50, y1=150, x0=60, x1=180):
     bits = np.zeros((256, 256), dtype=bool)
     bits[y0:y1, x0:x1] = True
     return StoneMask(bits)
-
-
-class TestApplyMask:
-    def test_all_ones_unchanged(self):
-        f = rand_frame()
-        out = apply_mask(f, StoneMask(np.ones((256, 256), dtype=bool)))
-        assert np.array_equal(out.pixels, f.pixels)
-
-    def test_all_zeros_black(self):
-        f = rand_frame()
-        out = apply_mask(f, StoneMask(np.zeros((256, 256), dtype=bool)))
-        assert np.all(out.pixels == 0)
-
-    def test_checkerboard(self):
-        f = rand_frame()
-        bits = np.indices((256, 256)).sum(axis=0) % 2 == 0
-        out = apply_mask(f, StoneMask(bits))
-        assert np.all(out.pixels[~bits] == 0)
-        assert np.array_equal(out.pixels[bits], f.pixels[bits])
-
-    def test_idempotent(self):
-        f = rand_frame()
-        m = block_mask()
-        once = apply_mask(f, m)
-        twice = apply_mask(once, m)
-        assert np.array_equal(once.pixels, twice.pixels)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            apply_mask(rand_frame(), StoneMask(np.ones((16, 16), dtype=bool)))
 
 
 class TestFeatures:
@@ -90,6 +64,13 @@ class TestFeatures:
         repainted[~mask.bits] = 255  # touch only mask-0 pixels
         g = FrameGrid(repainted)
         assert np.array_equal(features(f, mask), features(g, mask))
+
+
+def apply_mask(frame, mask):
+    """Zero every pixel outside the mask; stone pixels pass unchanged."""
+    out = frame.pixels.copy()
+    out[~mask.bits] = 0
+    return FrameGrid(out, stream_index=frame.stream_index)
 
 
 def reference_features(frame, mask):
@@ -238,6 +219,27 @@ class TestCentroidModel:
             hits += max(scores, key=lambda c: (scores[c], -c.rank)) is label
         assert hits / len(held) >= 0.95
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+    def test_bad_beta_rejected(self, small_model, beta):
+        with pytest.raises(ValidationError, match="beta must be finite and non-negative"):
+            CentroidModel(centroids=small_model.centroids, beta=beta)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_centroid_rejected(self, small_model, value):
+        cents = dict(small_model.centroids)
+        cents[IIB] = np.where(np.arange(528) == 7, value, cents[IIB])
+        with pytest.raises(ValidationError, match="centroid for IIb has non-finite values"):
+            CentroidModel(centroids=cents)
+
+    @pytest.mark.parametrize("beta", ['"x"', "NaN", "Infinity", "[1]"])
+    def test_load_bad_beta_names_file(self, small_model, tmp_path, beta):
+        path = tmp_path / "model.json"
+        small_model.save(path)
+        text = path.read_text("utf-8").replace('"beta": 50.0', f'"beta": {beta}')
+        path.write_text(text, "utf-8")
+        with pytest.raises(NotTrained, match=f"^cannot load model from {re.escape(str(path))}"):
+            CentroidModel.load(path)
+
     def test_save_load_round_trip(self, small_model, tmp_path):
         path = tmp_path / "model.json"
         small_model.save(path)
@@ -283,6 +285,51 @@ class TestScoreImport:
             with pytest.raises(MalformedRow, match=f"^{re.escape(str(path))}:2: "):
                 import_scores(path)
 
+    @pytest.mark.parametrize("content", [
+        None,                                              # missing file
+        b"frame,Ia,IIb,IIIb,IaIIb,IaIIIb\n0,\xff\n",     # not UTF-8
+        b'frame,Ia,IIb,IIIb,IaIIb,IaIIIb\n"' + b"0" * 200_000 + b'"\n',  # csv.Error
+    ], ids=["missing", "not-utf8", "field-too-large"])
+    def test_unreadable_file_names_path(self, tmp_path, content):
+        path = tmp_path / "scores.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(MalformedRow, match=f"^cannot read scores {re.escape(str(path))}: "):
+            import_scores(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=300),
+        st.binary(max_size=300).map(lambda b: b"frame,Ia,IIb,IIIb,IaIIb,IaIIIb\n" + b),
+        st.text('0123456789.,-+e naif"\r\n', max_size=300).map(
+            lambda t: ("frame,Ia,IIb,IIIb,IaIIb,IaIIIb\n" + t).encode()),
+    ))
+    def test_arbitrary_bytes_import_or_raise_domain_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("bytes") / "scores.csv"
+        path.write_bytes(data)
+        try:
+            table = import_scores(path)
+        except LithovidError:
+            return
+        for scores in table.values():
+            assert set(scores) == set(CANONICAL_ORDER)
+            assert abs(sum(scores.values()) - 1.0) <= 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(
+        st.integers(0, 10_000),
+        st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5).filter(lambda v: sum(v) > 0),
+        max_size=8,
+    ))
+    def test_repr_rows_round_trip_exactly(self, tmp_path_factory, raw):
+        rows = {}
+        for idx, values in raw.items():
+            total = sum(values)
+            rows[idx] = dict(zip(CANONICAL_ORDER, [v / total for v in values]))
+        path = tmp_path_factory.mktemp("rows") / "scores.csv"
+        write_score_csv(path, rows)
+        assert import_scores(path) == rows
+
     def test_duplicate_frame(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -298,9 +345,9 @@ class TestScoreImport:
 
         video, _, _ = generate_phantom(clean_spec(7, IA, 2.0))
         timeline = run_raw_video(video, oracle_factory, small_model)[Variant.FULL]
-        rows = scores_of_timeline(timeline)
+        rows = {r.stream_index: r.scores for r in timeline.records if r.qc.passed}
         path = tmp_path / "scores.csv"
-        export_scores(rows, path)
+        write_score_csv(path, rows)
         back = import_scores(path)
         assert set(back) == set(rows)
         for idx, scores in rows.items():

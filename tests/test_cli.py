@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from lithovid.cli import main
-from lithovid.classify import export_scores, scores_of_timeline
 from lithovid.core import CANONICAL_ORDER, MorphClass
 from lithovid.evaluate import timeline_from_json
 from lithovid.video_io import read_pgm, write_pgm
+
+from conftest import write_score_csv
 
 
 def tree_digest(root: Path) -> str:
@@ -120,7 +121,8 @@ class TestRunCommand:
         scores_dir.mkdir()
         for path in sorted((workspace / "timelines").glob("*.json")):
             tl, _, _ = timeline_from_json(path.read_text("utf-8"))
-            export_scores(scores_of_timeline(tl), scores_dir / f"{tl.video_id}.csv")
+            rows = {r.stream_index: r.scores for r in tl.records if r.qc.passed}
+            write_score_csv(scores_dir / f"{tl.video_id}.csv", rows)
         out = tmp_path / "imported"
         assert main(["run", "--videos", str(workspace / "cohort"), "--out", str(out),
                      "--segmenter", "oracle", "--classifier", "import",
@@ -232,6 +234,88 @@ class TestRunCommand:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"video": "x"}), "utf-8")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+    def test_run_takes_no_seed(self, workspace, tmp_path, capsys):
+        config = tmp_path / "seeded.json"
+        config.write_text(json.dumps({"videos": str(workspace / "cohort"), "seed": 3}), "utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config keys: seed" in capsys.readouterr().err
+        assert main(["run", "--videos", str(workspace / "cohort"), "--out", str(tmp_path / "o"),
+                     "--seed", "3"]) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text('["videos"]', "utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert str(config) in capsys.readouterr().err
+
+
+def one_video(workspace, root):
+    import shutil
+
+    shutil.copytree(workspace / "cohort" / "Ia-clean-000", root / "Ia-clean-000")
+    return root
+
+
+def edit_json(src, dst, change):
+    payload = json.loads(src.read_text("utf-8"))
+    change(payload)
+    dst.write_text(json.dumps(payload), "utf-8")  # nan/inf as the JSON extensions NaN/Infinity
+    return dst
+
+
+class TestInputBoundaries:
+    @pytest.mark.parametrize("change", [
+        lambda p: p.update(beta="x"),
+        lambda p: p.update(beta=math.nan),
+        lambda p: p["centroids"]["IIb"].__setitem__(3, math.inf),
+    ], ids=["beta-string", "beta-nan", "centroid-inf"])
+    def test_bad_model_is_data_error(self, workspace, tmp_path, capsys, change):
+        model = edit_json(workspace / "model.json", tmp_path / "model.json", change)
+        code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
+                     "--out", str(tmp_path / "o"), "--model", str(model)])
+        assert code == 2
+        assert str(model) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        lambda p: p.update(tau=math.nan),
+        lambda p: p.update(tau=math.inf),
+        lambda p: p["background_cov"][1].__setitem__(1, math.nan),
+        lambda p: p["background_mean"].__setitem__(0, math.inf),
+    ], ids=["tau-nan", "tau-inf", "cov-nan", "mean-inf"])
+    def test_non_finite_calibration_is_data_error(self, workspace, tmp_path, capsys, change):
+        cal = edit_json(workspace / "cal.json", tmp_path / "cal.json", change)
+        code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
+                     "--out", str(tmp_path / "o"), "--segmenter", "chroma",
+                     "--calibration", str(cal), "--model", str(workspace / "model.json")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"frame,Ia,IIb,IIIb,IaIIb,IaIIIb\n0,\xff\n"],
+                             ids=["missing", "not-utf8"])
+    def test_unreadable_score_csv_is_data_error(self, workspace, tmp_path, capsys, content):
+        scores = tmp_path / "scores"
+        scores.mkdir()
+        if content is not None:
+            (scores / "Ia-clean-000.csv").write_bytes(content)
+        code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
+                     "--out", str(tmp_path / "o"), "--classifier", "import",
+                     "--scores", str(scores)])
+        assert code == 2
+        assert str(scores / "Ia-clean-000.csv") in capsys.readouterr().err
+
+    def test_inconsistent_truth_labels_are_data_error(self, workspace, tmp_path, capsys):
+        truth = tmp_path / "truth" / "Ia-clean-000"
+        truth.mkdir(parents=True)
+        manifest = edit_json(workspace / "cohort" / "Ia-clean-000" / "manifest.json",
+                             truth / "manifest.json",
+                             lambda p: p["frames"][5].update(truth_label="IIb"))
+        code = main(["eval", "--timelines", str(workspace / "timelines"),
+                     "--truth", str(truth.parent), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "inconsistent truth labels" in err
 
 
 class TestEvalCommand:

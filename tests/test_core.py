@@ -90,10 +90,6 @@ class TestFrameGrid:
         with pytest.raises(ValidationError):
             FrameGrid(np.zeros((256, 256, 3), dtype=np.float32))
 
-    def test_timestamp_on_8hz_grid(self):
-        f = FrameGrid(np.zeros((256, 256, 3), dtype=np.uint8), stream_index=12)
-        assert abs(f.timestamp - 12 / 8) < 1e-9
-
     def test_immutable(self):
         f = FrameGrid(np.zeros((256, 256, 3), dtype=np.uint8))
         with pytest.raises(ValueError):
@@ -160,6 +156,21 @@ class TestPredictionRecord:
         scores[MorphClass.IIIB] = 0.5
         scores[MorphClass.IA_IIB] = 0.5
         assert argmax_scores(scores) is MorphClass.IIIB
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("slot", [MorphClass.IA, MorphClass.IA_IIIB])
+    def test_non_finite_score_in_any_slot_rejected(self, bad, slot):
+        scores = {c: 0.1 for c in CANONICAL_ORDER}
+        scores[MorphClass.IA] = 0.6  # the max slot; IaIIIb is a non-max slot
+        scores[slot] = bad
+        with pytest.raises(ValidationError, match=f"non-finite score .* for {slot.tag}$"):
+            argmax_scores(scores)
+        with pytest.raises(ValidationError, match=f"for {slot.tag}$"):
+            PredictionRecord.passing(0, scores)
+
+    def test_empty_score_map_rejected(self):
+        with pytest.raises(ValidationError, match="empty score map"):
+            argmax_scores({})
 
     def test_rejected_cannot_carry_scores(self):
         with pytest.raises(ValidationError):

@@ -220,6 +220,28 @@ class TestTimelineJson:
         assert variant is Variant.FULL
         assert timeline_to_json(back, truth_label=truth, variant=variant) == text
 
+    @pytest.mark.parametrize("slot", ["Ia", "IaIIIb"])
+    def test_nan_score_in_json_rejected(self, slot):
+        import json
+
+        payload = json.loads(timeline_to_json(timeline_with_labels("v", [IA, IA])))
+        payload["records"][1]["scores"][slot] = float("nan")  # dumped as the literal NaN
+        with pytest.raises(ValidationError, match=f"non-finite score nan for {slot}$"):
+            timeline_from_json(json.dumps(payload))
+
+    def test_nan_from_classifier_stops_run_timeline(self, oracle_factory):
+        from lithovid.phantom import clean_spec, generate_phantom
+        from lithovid.pipeline import run_raw_video
+
+        class NanClassifier:
+            def predict(self, frame, mask):
+                return {c: (float("nan") if c is IIB else 0.25) for c in CANONICAL_ORDER}
+
+        video, _, _ = generate_phantom(clean_spec(3, IA, 1.0))
+        for variants in [(Variant.FULL,), (Variant.NO_QC,), tuple(Variant)]:
+            with pytest.raises(ValidationError, match="non-finite score nan for IIb$"):
+                run_raw_video(video, oracle_factory, NanClassifier(), variants=variants)
+
     def test_census_matches_labels(self):
         tl = timeline_with_labels("v", [IA, IA, IIB])
         import json

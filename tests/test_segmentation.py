@@ -12,7 +12,6 @@ from lithovid.errors import (
     DimensionMismatch,
     NoTruthAvailable,
     NotCalibrated,
-    ParamOutOfRange,
 )
 from lithovid.phantom import (
     EventKind,
@@ -23,10 +22,8 @@ from lithovid.phantom import (
     training_stills,
 )
 from lithovid.segmentation import (
-    AugmentSpec,
     ChromaSegmenter,
     OracleSegmenter,
-    augment,
     bce_loss,
     bce_loss_grad,
     calibrate_chroma,
@@ -166,77 +163,6 @@ class TestLosses:
         assert combined_loss(p, t) == pytest.approx(bce_loss(p, t) + dice_loss(p, t))
 
 
-class TestAugment:
-    def frame(self):
-        rng = np.random.Generator(np.random.Philox(key=[9, 9]))
-        return FrameGrid(rng.integers(0, 256, size=(256, 256, 3), dtype=np.uint8))
-
-    def test_neutral_spec_is_identity(self):
-        f = self.frame()
-        out = augment(f, AugmentSpec.neutral(), seed=5)
-        assert np.array_equal(out.pixels, f.pixels)
-
-    def test_hflip_is_involution(self):
-        f = self.frame()
-        spec = AugmentSpec(
-            hflip=True, vflip=False, rotation_deg=(0, 0), zoom=(1, 1),
-            brightness=(1, 1), shift=(0, 0),
-        )
-        once = augment(f, spec, seed=0)
-        twice = augment(once, spec, seed=0)
-        assert not np.array_equal(once.pixels, f.pixels)
-        assert np.array_equal(twice.pixels, f.pixels)
-
-    def test_brightness_scaling(self):
-        f = FrameGrid(np.full((256, 256, 3), 100, dtype=np.uint8))
-        spec = AugmentSpec(
-            hflip=False, vflip=False, rotation_deg=(0, 0), zoom=(1, 1),
-            brightness=(0.5, 0.5), shift=(0, 0),
-        )
-        out = augment(f, spec, seed=0)
-        assert np.all(out.pixels == 50)
-
-    def test_deterministic_in_seed(self):
-        f = self.frame()
-        a = augment(f, AugmentSpec(), seed=42)
-        b = augment(f, AugmentSpec(), seed=42)
-        c = augment(f, AugmentSpec(), seed=43)
-        assert np.array_equal(a.pixels, b.pixels)
-        assert not np.array_equal(a.pixels, c.pixels)
-
-    def test_integer_shift_is_exact_translation(self):
-        f = self.frame()
-        spec = AugmentSpec(
-            hflip=False, vflip=False, rotation_deg=(0, 0), zoom=(1, 1),
-            brightness=(1, 1), shift=(0.125, 0.125),  # 32 px on a 256 frame
-        )
-        out = augment(f, spec, seed=0)
-        assert np.array_equal(out.pixels[32:, 32:], f.pixels[:-32, :-32])
-        assert np.all(out.pixels[:32] == 0)
-
-    def test_rotation_zero_fills_corners(self):
-        f = FrameGrid(np.full((256, 256, 3), 200, dtype=np.uint8))
-        spec = AugmentSpec(
-            hflip=False, vflip=False, rotation_deg=(45, 45), zoom=(1, 1),
-            brightness=(1, 1), shift=(0, 0),
-        )
-        out = augment(f, spec, seed=0)
-        assert np.all(out.pixels[0, 0] == 0)
-        assert np.all(out.pixels[128, 128] == 200)
-
-    def test_out_of_range_parameters_rejected(self):
-        with pytest.raises(ParamOutOfRange):
-            AugmentSpec(rotation_deg=(-90, 45))
-        with pytest.raises(ParamOutOfRange):
-            AugmentSpec(zoom=(0.8, 1.2))
-        with pytest.raises(ParamOutOfRange):
-            AugmentSpec(brightness=(0.0, 1.0))
-        with pytest.raises(ParamOutOfRange):
-            AugmentSpec(shift=(-0.5, 0.2))
-        with pytest.raises(ParamOutOfRange):
-            AugmentSpec(zoom=(1.2, 1.1))
-
-
 class TestCleanMask:
     @given(mask=hnp.arrays(dtype=np.bool_, shape=(24, 24), elements=st.booleans()))
     @settings(max_examples=80, deadline=None)
@@ -325,6 +251,18 @@ class TestChromaSegmenter:
         path.write_text("{}", "utf-8")
         with pytest.raises(NotCalibrated):
             ChromaSegmenter.load(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau", math.nan), ("tau", math.inf),
+        ("background_mean", np.array([1.0, math.nan, 1.0])),
+        ("background_cov", np.where(np.eye(3) > 0, 4.0, math.nan)),
+        ("background_cov", np.diag([4.0, math.inf, 4.0])),
+    ], ids=["tau-nan", "tau-inf", "mean-nan", "cov-nan", "cov-inf"])
+    def test_non_finite_calibration_rejected(self, field, value):
+        fields = dict(background_mean=np.zeros(3), background_cov=4.0 * np.eye(3), tau=3.0)
+        fields[field] = value
+        with pytest.raises(NotCalibrated, match="finite"):
+            ChromaSegmenter(**fields)
 
     def test_singular_covariance_rejected(self):
         with pytest.raises(NotCalibrated):
