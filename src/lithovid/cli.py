@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -35,14 +37,19 @@ from .classify import (
     train_centroid,
 )
 from .core import CANONICAL_ORDER, STREAM_FPS, FrameGrid, MorphClass, StoneMask, VideoTimeline
-from .errors import CorruptManifest, LithovidError, NotCalibrated, NoTruthAvailable, ValidationError
+from .errors import (
+    CorruptManifest,
+    DimensionMismatch,
+    LithovidError,
+    NoTruthAvailable,
+    ValidationError,
+)
 from .pipeline import Variant, run_timeline
 from .qc import QcConfig
 from .rng import derive_seed
 from .segmentation import ChromaSegmenter, OracleSegmenter, calibrate_chroma
 from .video_io import (
     MANIFEST_NAME,
-    RawVideo,
     list_video_dirs,
     load_stream,
     normalize_video,
@@ -77,10 +84,12 @@ def _workers() -> int:
     return n
 
 
-def _load_run_config(args) -> dict:
-    """The `run` config file as a dict keyed by the dests of run's flags."""
-    if args.config is None:
-        return {}
+def _config_argv(args) -> list[str]:
+    """The `run --config` file as argv tokens for run's flags.
+
+    main parses them ahead of the flags given, so argparse checks config
+    values as it checks flags, and flags win. JSON null means not given.
+    """
     p = Path(args.config)
     if not p.is_file():
         raise LithovidError(f"config file not found: {p}")
@@ -93,7 +102,18 @@ def _load_run_config(args) -> dict:
     unknown = set(payload) - (set(vars(args)) - {"command", "func", "config"})
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return payload
+    argv = []
+    for key, value in payload.items():
+        flag = "--" + key.replace("_", "-")
+        if value is None:  # not given
+            continue
+        if not isinstance(getattr(args, key), bool):
+            argv.append(f"{flag}={value}")
+        elif not isinstance(value, bool):  # a store_true flag takes JSON true or false
+            raise UsageError(f"{key} must be true or false, got {value!r}")
+        elif value:
+            argv.append(flag)
+    return argv
 
 
 # -- overlay rendering ---------------------------------------------------------
@@ -135,60 +155,54 @@ def render_overlay(frame: FrameGrid, mask: Optional[StoneMask], label_text: str)
 # -- per-video run worker --------------------------------------------------------
 
 
-def _build_segmenter(args_dict: dict, frames, truths):
-    kind = args_dict["segmenter"]
-    if kind == "oracle":
-        if truths is None:
-            raise NoTruthAvailable("oracle segmenter requires truth masks in the manifest")
-        return OracleSegmenter.from_masks(truths)
-    if kind == "chroma":
-        calibration = args_dict.get("calibration")
-        if not calibration:
-            raise NotCalibrated("chroma segmenter requires --calibration")
-        return ChromaSegmenter.load(Path(calibration))
-    if kind == "import":
-        masks_root = args_dict.get("masks")
-        if not masks_root:
-            raise LithovidError("import segmenter requires --masks")
-        video_dir = Path(masks_root) / args_dict["video_id"]
-        loaded = []
-        for k in range(len(frames)):
-            path = video_dir / f"mask_{k:06d}.pgm"
-            loaded.append(StoneMask(read_pgm(path) > 127))
-        return OracleSegmenter.from_masks(loaded)
-    raise UsageError(f"unknown segmenter {kind!r}")
+def _import_masks(masks_root: Path, video_id: str, frames: list[FrameGrid]) -> OracleSegmenter:
+    masks = []
+    for frame in frames:
+        path = masks_root / video_id / f"mask_{frame.stream_index:06d}.pgm"
+        bits = read_pgm(path)
+        if bits.shape != frame.pixels.shape[:2]:
+            raise DimensionMismatch(f"{path} has shape {bits.shape}, not {frame.pixels.shape[:2]}")
+        masks.append(StoneMask(bits > 127))
+    return OracleSegmenter.from_masks(masks)
 
 
-def _run_one_video(job: dict) -> str:
-    video_dir = Path(job["video_dir"])
-    out_dir = Path(job["out"])
+def _run_one_video(video_dir: Path, out_dir: Path, variant: Variant, qc: QcConfig,
+                   chroma: Optional[ChromaSegmenter], masks: Optional[Path],
+                   model: Optional[CentroidModel], scores: Optional[Path], overlay: bool) -> str:
+    """Run one video and write its timeline (and overlays) under out_dir.
+
+    The chroma segmenter, else the masks root, else the video's own truth
+    masks segment it; the model, else the scores root, classifies it.
+    """
     video = load_stream(video_dir, STREAM_FPS)
     frames, truths = normalize_video(video)
-    variant = Variant(job["variant"])
-
-    job = dict(job, video_id=video.video_id)
     segmenter = None
     if variant is not Variant.NO_QC:
-        segmenter = _build_segmenter(job, frames, truths)
-        if job.get("overlay"):
+        if chroma is not None:
+            segmenter = chroma
+        elif masks is not None:
+            segmenter = _import_masks(masks, video.video_id, frames)
+        elif truths is None:
+            raise NoTruthAvailable("oracle segmenter requires truth masks in the manifest")
+        else:
+            segmenter = OracleSegmenter.from_masks(truths)
+        if overlay:
             # segment once; the gate and the overlay writer read the same masks
             segmenter = OracleSegmenter.from_masks([segmenter.segment(f) for f in frames])
+    classifier = model or ScoreTable(import_scores(scores / f"{video.video_id}.csv"))
 
-    if job["classifier"] == "centroid":
-        classifier = CentroidModel.load(Path(job["model"]))
-    elif job["classifier"] == "import":
-        scores_dir = Path(job["scores"])
-        classifier = ScoreTable(import_scores(scores_dir / f"{video.video_id}.csv"))
-    else:
-        raise UsageError(f"unknown classifier {job['classifier']!r}")
-
-    timelines = run_timeline(video.video_id, frames, segmenter, classifier, job["qc"], (variant,))
+    timelines = run_timeline(video.video_id, frames, segmenter, classifier, qc, (variant,))
     timeline = timelines[variant]
     payload = evaluate.timeline_to_json(timeline, truth_label=video.truth_label, variant=variant)
-    out_path = out_dir / f"{video.video_id}.json"
-    out_path.write_text(payload, "utf-8")
+    # write beside the target and rename, so eval never reads half a timeline
+    tmp = out_dir / f".{video.video_id}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(payload, "utf-8")
+        os.replace(tmp, out_dir / f"{video.video_id}.json")
+    finally:
+        tmp.unlink(missing_ok=True)
 
-    if job.get("overlay"):
+    if overlay:
         overlay_dir = out_dir / "overlays" / video.video_id
         overlay_dir.mkdir(parents=True, exist_ok=True)
         for rec, frame in zip(timeline.records, frames):
@@ -214,18 +228,8 @@ def cmd_phantom(args) -> int:
             child = derive_seed(args.seed, f"phantom-{label.tag}-{i}")
             spec = builder(child, label, args.duration)
             video, _, _ = phantom.generate_phantom(spec)
-            video_id = f"{label.tag}-{args.profile}-{i:03d}"
-            video_dir = out / video_id
-            store_stream(
-                RawVideo(
-                    video_id=video_id,
-                    native_fps=video.native_fps,
-                    frames=video.frames,
-                    truth_masks=video.truth_masks,
-                    truth_label=video.truth_label,
-                ),
-                video_dir,
-            )
+            video_dir = out / f"{label.tag}-{args.profile}-{i:03d}"
+            store_stream(dataclasses.replace(video, video_id=video_dir.name), video_dir)
             (video_dir / "phantom_spec.json").write_text(spec.to_json(), "utf-8")
     total = args.per_class * len(CANONICAL_ORDER)
     print(f"generated {total} phantom videos in {out}")
@@ -271,60 +275,44 @@ def cmd_train_cls(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _load_run_config(args)
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return config.get(key, default)
-
-    videos_root = pick(args.videos, "videos", None)
-    out_root = pick(args.out, "out", None)
-    if videos_root is None or out_root is None:
+    if args.videos is None or args.out is None:
         raise UsageError("run requires --videos and --out (flags or config)")
-    videos_root = Path(videos_root)
+    videos_root = Path(args.videos)
     if not videos_root.is_dir():
         raise LithovidError(f"video directory not found: {videos_root}")
     try:
-        qc = QcConfig(
-            min_coverage=pick(args.min_coverage, "min_coverage", 0.10),
-            min_dsc=pick(args.min_dsc, "min_dsc", 0.90),
-        )
+        qc = QcConfig(min_coverage=args.min_coverage, min_dsc=args.min_dsc)
     except ValidationError as exc:
         raise UsageError(str(exc)) from None
-    out_dir = Path(out_root)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    base_job = {
-        "out": str(out_dir),
-        "segmenter": pick(args.segmenter, "segmenter", "oracle"),
-        "calibration": pick(args.calibration, "calibration", None),
-        "masks": pick(args.masks, "masks", None),
-        "classifier": pick(args.classifier, "classifier", "centroid"),
-        "model": pick(args.model, "model", None),
-        "scores": pick(args.scores, "scores", None),
-        "variant": pick(args.variant, "variant", Variant.FULL.value),
-        "qc": qc,
-        "overlay": bool(args.overlay or config.get("overlay", False)),
-    }
-    if base_job["classifier"] == "centroid" and not base_job["model"]:
-        raise UsageError("centroid classifier requires --model")
-    if base_job["classifier"] == "import" and not base_job["scores"]:
-        raise UsageError("import classifier requires --scores")
+    for option, kind, needs in (("segmenter", "chroma", "calibration"),
+                                ("segmenter", "import", "masks"),
+                                ("classifier", "centroid", "model"),
+                                ("classifier", "import", "scores")):
+        if getattr(args, option) == kind and not getattr(args, needs):
+            raise UsageError(f"{kind} {option} requires --{needs}")
     for key in ("model", "calibration", "scores", "masks"):
-        if base_job[key] and not Path(base_job[key]).exists():
-            raise LithovidError(f"{key} path not found: {base_job[key]}")
-
-    jobs = [dict(base_job, video_dir=str(d)) for d in list_video_dirs(videos_root)]
-    if not jobs:
+        value = getattr(args, key)
+        if value and not Path(value).exists():
+            raise LithovidError(f"{key} path not found: {value}")
+    workers = _workers()
+    video_dirs = list_video_dirs(videos_root)
+    if not video_dirs:
         raise LithovidError(f"no videos (no {MANIFEST_NAME}) under {videos_root}")
 
-    workers = _workers()
+    # built once for every video, and checked before --out exists
+    chroma = ChromaSegmenter.load(Path(args.calibration)) if args.segmenter == "chroma" else None
+    model = CentroidModel.load(Path(args.model)) if args.classifier == "centroid" else None
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    job = partial(_run_one_video, out_dir=out_dir, variant=Variant(args.variant), qc=qc,
+                  chroma=chroma, masks=Path(args.masks) if args.segmenter == "import" else None,
+                  model=model, scores=Path(args.scores) if args.classifier == "import" else None,
+                  overlay=args.overlay)
     if workers == 1:
-        done = [_run_one_video(job) for job in jobs]
+        done = [job(d) for d in video_dirs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_one_video, jobs))
+            done = list(pool.map(job, video_dirs))
     print(f"wrote {len(done)} timelines to {out_dir}")
     return EXIT_OK
 
@@ -490,15 +478,16 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="RunConfig JSON; flags override")
     p.add_argument("--videos")
     p.add_argument("--out")
-    p.add_argument("--segmenter", choices=["oracle", "chroma", "import"])
+    p.add_argument("--segmenter", choices=["oracle", "chroma", "import"], default="oracle")
     p.add_argument("--calibration")
     p.add_argument("--masks", help="root of imported per-video mask directories")
-    p.add_argument("--classifier", choices=["centroid", "import"])
+    p.add_argument("--classifier", choices=["centroid", "import"], default="centroid")
     p.add_argument("--model")
     p.add_argument("--scores", help="directory of per-video score CSVs")
-    p.add_argument("--variant", choices=[v.value for v in Variant])
-    p.add_argument("--min-coverage", type=float, dest="min_coverage")
-    p.add_argument("--min-dsc", type=float, dest="min_dsc")
+    p.add_argument("--variant", choices=[v.value for v in Variant], default=Variant.FULL.value)
+    p.add_argument("--min-coverage", type=float, dest="min_coverage",
+                   default=QcConfig.min_coverage)
+    p.add_argument("--min-dsc", type=float, dest="min_dsc", default=QcConfig.min_dsc)
     p.add_argument("--overlay", action="store_true")
     p.set_defaults(func=cmd_run)
 
@@ -518,8 +507,15 @@ def build_parser() -> _Parser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
+        if args.command == "run" and args.config is not None:
+            # config tokens go first so flags win; argv[0] is "run" (no top-level options)
+            try:
+                args = parser.parse_args(["run", *_config_argv(args), *argv[1:]])
+            except UsageError as exc:  # the flags alone parsed, so the config is at fault
+                raise UsageError(f"config {args.config}: {exc}") from None
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

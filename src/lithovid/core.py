@@ -268,6 +268,8 @@ class VideoTimeline:
     decision_path: Optional[DecisionPath] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.video_id, str):
+            raise ValidationError(f"video_id must be a string, got {self.video_id!r}")
         records = tuple(self.records)
         for i, rec in enumerate(records):
             if rec.stream_index != i:

@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lithovid.cli import main
 from lithovid.core import CANONICAL_ORDER, MorphClass
+from lithovid.errors import LithovidError
 from lithovid.evaluate import timeline_from_json
 from lithovid.video_io import read_pgm, write_pgm
 
@@ -230,6 +236,49 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         assert tree_digest(out) == tree_digest(workspace / "timelines")
 
+    def test_config_null_and_false_add_nothing_and_flags_win(self, workspace, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "videos": str(workspace / "cohort"),
+            "model": str(workspace / "model.json"),
+            "min_dsc": None,
+            "overlay": False,
+            "variant": "no-qc",
+        }), "utf-8")
+        out = tmp_path / "from-config"
+        assert main(["run", "--config", str(config), "--out", str(out), "--variant", "full"]) == 0
+        assert tree_digest(out) == tree_digest(workspace / "timelines")
+
+    @pytest.mark.parametrize("bad", [
+        {"min_coverage": "x"}, {"variant": "bogus"}, {"segmenter": "bogus"}, {"overlay": "false"},
+    ], ids=["min_coverage", "variant", "segmenter", "overlay"])
+    def test_bad_config_value_is_usage_error(self, workspace, tmp_path, capsys, bad):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"videos": str(workspace / "cohort"),
+                                      "model": str(workspace / "model.json"), **bad}), "utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert str(config) in capsys.readouterr().err
+
+    def test_model_and_calibration_load_once_per_run(self, workspace, tmp_path, monkeypatch):
+        from lithovid.classify import CentroidModel
+        from lithovid.segmentation import ChromaSegmenter
+
+        monkeypatch.delenv("LITHO_WORKERS", raising=False)
+        loads = []
+        for cls in (CentroidModel, ChromaSegmenter):
+            def counting(path, load=cls.load, name=cls.__name__):
+                loads.append(name)
+                return load(path)
+
+            monkeypatch.setattr(cls, "load", counting)
+        assert main(["run", "--videos", str(workspace / "cohort"), "--out", str(tmp_path / "o"),
+                     "--segmenter", "chroma", "--calibration", str(workspace / "cal.json"),
+                     "--model", str(workspace / "model.json")]) == 0
+        assert len(list((tmp_path / "o").glob("*.json"))) == 5
+        assert sorted(loads) == ["CentroidModel", "ChromaSegmenter"]
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"video": "x"}), "utf-8")
@@ -277,6 +326,7 @@ class TestInputBoundaries:
                      "--out", str(tmp_path / "o"), "--model", str(model)])
         assert code == 2
         assert str(model) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("change", [
         lambda p: p.update(tau=math.nan),
@@ -291,6 +341,7 @@ class TestInputBoundaries:
                      "--calibration", str(cal), "--model", str(workspace / "model.json")])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("content", [None, b"frame,Ia,IIb,IIIb,IaIIb,IaIIIb\n0,\xff\n"],
                              ids=["missing", "not-utf8"])
@@ -305,6 +356,37 @@ class TestInputBoundaries:
         assert code == 2
         assert str(scores / "Ia-clean-000.csv") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["full", "no-masking"])
+    def test_imported_mask_of_wrong_size_is_data_error(self, workspace, tmp_path, capsys, variant):
+        videos = one_video(workspace, tmp_path / "v")
+        masks = tmp_path / "masks" / "Ia-clean-000"
+        masks.mkdir(parents=True)
+        manifest = json.loads((videos / "Ia-clean-000" / "manifest.json").read_text("utf-8"))
+        for k in range(len(manifest["frames"])):
+            write_pgm(masks / f"mask_{k:06d}.pgm", np.ones((48, 64), dtype=bool))
+        code = main(["run", "--videos", str(videos), "--out", str(tmp_path / "o"),
+                     "--segmenter", "import", "--masks", str(masks.parent),
+                     "--model", str(workspace / "model.json"), "--variant", variant])
+        assert code == 2
+        assert str(masks / "mask_000000.pgm") in capsys.readouterr().err
+        assert not (tmp_path / "o" / "Ia-clean-000.json").exists()
+
+    @pytest.mark.parametrize("fault", ["serialize", "write"])
+    def test_failed_timeline_write_leaves_no_file(self, workspace, tmp_path, monkeypatch, fault):
+        from lithovid import evaluate
+
+        def broken(*args, **kwargs):
+            if fault == "serialize":
+                raise ValueError("cannot serialize")
+            return '{"video_id": "\ud800"}'  # a lone surrogate: encoding fails in the write
+
+        monkeypatch.setattr(evaluate, "timeline_to_json", broken)
+        out = tmp_path / "o"
+        code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
+                     "--out", str(out), "--model", str(workspace / "model.json")])
+        assert code == 3
+        assert list(out.iterdir()) == []
+
     def test_inconsistent_truth_labels_are_data_error(self, workspace, tmp_path, capsys):
         truth = tmp_path / "truth" / "Ia-clean-000"
         truth.mkdir(parents=True)
@@ -316,6 +398,20 @@ class TestInputBoundaries:
         assert code == 2
         err = capsys.readouterr().err
         assert str(manifest) in err and "inconsistent truth labels" in err
+
+
+def timeline_like_json():
+    """JSON documents shaped loosely like a timeline, with any value in each field."""
+    leaf = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    value = st.recursive(leaf, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=8)
+    record = st.fixed_dictionaries({"stream_index": value, "qc": value,
+                                    "scores": value, "label": value})
+    document = st.fixed_dictionaries({
+        "video_id": value, "records": st.lists(record, max_size=3) | value,
+        "decision": value, "decision_path": value, "truth_label": value, "variant": value,
+    })
+    return (document | value).map(lambda doc: json.dumps(doc).encode("utf-8"))
 
 
 class TestEvalCommand:
@@ -340,7 +436,10 @@ class TestEvalCommand:
         assert code == 2
         assert "IIIb" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["{not json", "{}"])
+    @pytest.mark.parametrize("text", [
+        "{not json", "{}",
+        '{"video_id": [], "records": [], "decision": null, "decision_path": null}',
+    ])
     def test_bad_timeline_is_data_error_naming_file(self, tmp_path, capsys, text):
         timelines = tmp_path / "tl"
         timelines.mkdir()
@@ -349,6 +448,28 @@ class TestEvalCommand:
         code = main(["eval", "--timelines", str(timelines), "--out", str(tmp_path / "o")])
         assert code == 2
         assert str(bad) in capsys.readouterr().err
+
+    @given(data=st.binary(max_size=200) | timeline_like_json())
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_in_a_timeline_file_are_a_data_error(self, data):
+        """Exit 2, never 3; a file that is not a valid timeline is named.
+
+        A valid one still fails, on the cohort: one video lacks four classes.
+        """
+        try:
+            timeline_from_json(data.decode("utf-8"))
+            valid = True
+        except (LithovidError, ValueError, KeyError, TypeError, AttributeError):
+            valid = False
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "tl" / "x.json"
+            bad.parent.mkdir()
+            bad.write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["eval", "--timelines", str(bad.parent), "--out", str(Path(tmp) / "o")])
+        assert code == 2
+        assert valid or str(bad) in err.getvalue()
 
     @pytest.mark.parametrize("manifest", ["{not json", '{"native_fps": 8.0, "frames": []}'])
     def test_bad_truth_manifest_is_data_error_naming_file(

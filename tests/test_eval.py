@@ -207,6 +207,27 @@ class TestQcPassStats:
         assert qc_pass_stats([tl]).mean == 0.0
 
 
+@st.composite
+def timelines(draw):
+    """Any valid timeline: rejected and passing records, scores summing to one."""
+    records = []
+    for index in range(draw(st.integers(0, 6))):
+        tag = draw(st.sampled_from(QcTag))
+        if tag is QcTag.PASS:
+            weights = draw(st.lists(st.floats(0, 1, allow_subnormal=False), min_size=5, max_size=5))
+            total = sum(weights)
+            scores = {c: (w / total if total else 0.2) for c, w in zip(CANONICAL_ORDER, weights)}
+            dsc = draw(st.none() | st.floats(0, 1))
+            records.append(PredictionRecord.passing(index, scores, dsc=dsc))
+        else:
+            dsc = draw(st.floats(0, 1)) if tag is QcTag.REJECTED_INSTABILITY else None
+            records.append(PredictionRecord.rejected(index, QcVerdict(tag, dsc=dsc)))
+    decided = any(r.qc.passed for r in records)
+    decision = draw(st.sampled_from(MorphClass)) if decided else None
+    path = draw(st.sampled_from(DecisionPath)) if decided else None
+    return VideoTimeline(draw(st.text()), tuple(records), decision, path)
+
+
 class TestTimelineJson:
     def test_round_trip_bytes(self, small_model, oracle_factory):
         from lithovid.phantom import clean_spec, generate_phantom
@@ -219,6 +240,15 @@ class TestTimelineJson:
         assert truth is IAIIB
         assert variant is Variant.FULL
         assert timeline_to_json(back, truth_label=truth, variant=variant) == text
+
+    @given(timeline=timelines(), truth=st.none() | st.sampled_from(MorphClass),
+           variant=st.none() | st.sampled_from(Variant))
+    @settings(max_examples=200, deadline=None)
+    def test_any_timeline_round_trips_to_the_same_bytes(self, timeline, truth, variant):
+        text = timeline_to_json(timeline, truth_label=truth, variant=variant)
+        back, back_truth, back_variant = timeline_from_json(text)
+        assert (back_truth, back_variant) == (truth, variant)
+        assert timeline_to_json(back, truth_label=back_truth, variant=back_variant) == text
 
     @pytest.mark.parametrize("slot", ["Ia", "IaIIIb"])
     def test_nan_score_in_json_rejected(self, slot):

@@ -1,5 +1,7 @@
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import lithovid.video_io as video_io
 
@@ -13,6 +15,7 @@ from lithovid.errors import (
     CorruptManifest,
     DimensionMismatch,
     EmptyVideo,
+    LithovidError,
     MissingFrame,
     TooSmall,
     ValidationError,
@@ -156,6 +159,24 @@ class TestNormalizeFrame:
         assert out.coverage == pytest.approx(0.5, abs=0.01)
 
 
+@st.composite
+def pnm_files(draw):
+    """Bytes that start like a binary PNM file: header fields, comments, then a raster."""
+    magic = draw(st.sampled_from([b"P5", b"P6", b"P4", b""]))
+    w, h = draw(st.integers(-1, 5)), draw(st.integers(-1, 5))
+    maxval = draw(st.just(b"255") | st.sampled_from([b"65535", b"0", b"25", b"x"]))
+    parts = [magic]
+    for field in (str(w).encode(), str(h).encode(), maxval):
+        # a long comment pushes the header past the shape probe's first read
+        parts.append(draw(st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n",
+                                           b"#" + b"c" * 4100 + b"\n"])))
+        parts.append(field)
+    parts.append(draw(st.sampled_from([b"\n", b" ", b""])))
+    size = max(0, w * h * draw(st.sampled_from([1, 3])) + draw(st.integers(-1, 1)))
+    parts.append(draw(st.binary(min_size=size, max_size=size)))
+    return b"".join(parts)
+
+
 class TestPnmIO:
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(key=[7, 7]))
@@ -175,6 +196,22 @@ class TestPnmIO:
         path.write_bytes(b"P6\n4 4\n255\n\x00\x00")
         with pytest.raises(CorruptManifest):
             read_ppm(path)
+
+    @given(data=st.one_of(st.binary(max_size=64), pnm_files()))
+    @settings(max_examples=300, deadline=None)
+    def test_header_only_shape_agrees_with_decoding(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.pnm"
+            path.write_bytes(data)
+            for magic, channels, read in ((b"P6", 3, read_ppm), (b"P5", 1, read_pgm)):
+                outcomes = []
+                for probe in (lambda: read(path).shape,
+                              lambda: video_io._pnm_shape(path, magic, channels)):
+                    try:
+                        outcomes.append(probe())
+                    except LithovidError as exc:
+                        outcomes.append((type(exc), str(exc)))
+                assert outcomes[0] == outcomes[1]
 
 
 class TestStreamContainer:
