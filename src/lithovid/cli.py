@@ -24,7 +24,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import ndimage
@@ -166,6 +166,16 @@ def _import_masks(masks_root: Path, video_id: str, frames: list[FrameGrid]) -> O
     return OracleSegmenter.from_masks(masks)
 
 
+def _write_replacing(target: Path, write: Callable[[Path], object]) -> None:
+    """Write beside the target and rename, so no reader sees half a file."""
+    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _run_one_video(video_dir: Path, out_dir: Path, variant: Variant, qc: QcConfig,
                    chroma: Optional[ChromaSegmenter], masks: Optional[Path],
                    model: Optional[CentroidModel], scores: Optional[Path], overlay: bool) -> str:
@@ -194,13 +204,8 @@ def _run_one_video(video_dir: Path, out_dir: Path, variant: Variant, qc: QcConfi
     timelines = run_timeline(video.video_id, frames, segmenter, classifier, qc, (variant,))
     timeline = timelines[variant]
     payload = evaluate.timeline_to_json(timeline, truth_label=video.truth_label, variant=variant)
-    # write beside the target and rename, so eval never reads half a timeline
-    tmp = out_dir / f".{video.video_id}.{os.getpid()}.tmp"
-    try:
-        tmp.write_text(payload, "utf-8")
-        os.replace(tmp, out_dir / f"{video.video_id}.json")
-    finally:
-        tmp.unlink(missing_ok=True)
+    _write_replacing(out_dir / f"{video.video_id}.json",
+                     lambda tmp: tmp.write_text(payload, "utf-8"))
 
     if overlay:
         overlay_dir = out_dir / "overlays" / video.video_id
@@ -209,7 +214,8 @@ def _run_one_video(video_dir: Path, out_dir: Path, variant: Variant, qc: QcConfi
             text = rec.label.display if rec.qc.passed else "X"
             mask = segmenter.truths[rec.stream_index] if segmenter is not None else None
             img = render_overlay(frame, mask, text)
-            write_ppm(overlay_dir / f"frame_{rec.stream_index:06d}.ppm", img)
+            _write_replacing(overlay_dir / f"frame_{rec.stream_index:06d}.ppm",
+                             lambda tmp: write_ppm(tmp, img))
     return video.video_id
 
 
@@ -321,7 +327,7 @@ def _load_timelines(timeline_dir: Path):
     out = []
     for path in sorted(Path(timeline_dir).glob("*.json")):
         try:
-            out.append(evaluate.timeline_from_json(path.read_text("utf-8")))
+            out.append((path, *evaluate.timeline_from_json(path.read_text("utf-8"))))
         except (LithovidError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise LithovidError(f"{path} is not a valid timeline: {exc!r}") from None
     if not out:
@@ -357,10 +363,10 @@ def cmd_eval(args) -> int:
     pairs = []
     timelines = []
     variant = None
-    for timeline, embedded_truth, tl_variant in loaded:
+    for path, timeline, embedded_truth, tl_variant in loaded:
         truth = truth_table.get(timeline.video_id, embedded_truth)
         if truth is None:
-            raise LithovidError(f"no ground-truth label for video {timeline.video_id}")
+            raise LithovidError(f"{path}: no ground-truth label for video {timeline.video_id!r}")
         pairs.append((truth, timeline.decision))
         timelines.append((timeline, truth))
         variant = tl_variant or variant

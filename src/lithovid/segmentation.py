@@ -112,15 +112,23 @@ def combined_loss(p: ProbLike, t: MaskLike, smooth: float = 1.0) -> float:
 
 
 def clean_mask(bits: np.ndarray, min_component_px: int) -> np.ndarray:
-    """Drop 4-connected components below min_component_px, then fill holes."""
-    labels, n = ndimage.label(bits)
-    if n == 0:
-        return np.zeros_like(bits, dtype=bool)
-    sizes = np.bincount(labels.ravel())
-    keep = sizes >= min_component_px
+    """Drop 4-connected components below min_component_px, then fill holes.
+
+    Labels only the candidates' bounding box, padded with a background ring that
+    stands for the outside of the box: holes are background not 4-connected to it.
+    """
+    out = np.zeros_like(bits, dtype=bool)
+    rows = np.flatnonzero(bits.any(axis=1))
+    if rows.size == 0:
+        return out
+    cols = np.flatnonzero(bits.any(axis=0))
+    box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    labels, _ = ndimage.label(bits[box])
+    keep = np.bincount(labels.ravel()) >= min_component_px
     keep[0] = False
-    kept = keep[labels]
-    return ndimage.binary_fill_holes(kept)
+    background, _ = ndimage.label(np.pad(~keep[labels], 1, constant_values=True))
+    out[box] = background[1:-1, 1:-1] != background[0, 0]
+    return out
 
 
 # -- segmenter implementations ------------------------------------------------
@@ -174,8 +182,19 @@ class ChromaSegmenter:
         object.__setattr__(self, "_inv_cov", inv)
 
     def distances_sq(self, pixels: np.ndarray) -> np.ndarray:
-        diff = pixels.astype(np.float64) - self.background_mean
-        return np.einsum("...i,ij,...j->...", diff, self._inv_cov, diff)
+        """Squared Mahalanobis distance to the background colour, per pixel.
+
+        Adds (d_i * inv_cov[i, j]) * d_j to zeros, i-major and j-minor: that is
+        einsum("...i,ij,...j->...", d, inv_cov, d)'s own order, so the floats match.
+        """
+        diff = [pixels[..., i] - m for i, m in enumerate(self.background_mean)]
+        out = np.zeros(pixels.shape[:-1])
+        term = np.empty_like(out)
+        for i, j in np.ndindex(3, 3):
+            np.multiply(diff[i], self._inv_cov[i, j], out=term)
+            term *= diff[j]
+            out += term
+        return out
 
     def segment(self, frame: FrameGrid) -> StoneMask:
         d2 = self.distances_sq(frame.pixels)

@@ -116,42 +116,37 @@ def _center_crop_square(arr: np.ndarray) -> np.ndarray:
     return arr[y0 : y0 + side, x0 : x0 + side]
 
 
-def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with the pixel-center convention; exact at scale 1."""
+def _taps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel-center bilinear taps from n source pixels onto FRAME_SIDE: indices and weights x512."""
+    s = np.clip((np.arange(FRAME_SIDE) + 0.5) * (n / FRAME_SIDE) - 0.5, 0.0, n - 1.0)
+    i0 = np.floor(s).astype(np.intp)
+    return i0, np.minimum(i0 + 1, n - 1), ((s - i0) * 512).astype(np.int32)
+
+
+def bilinear_resize(img: np.ndarray) -> np.ndarray:
+    """Bilinear resize to FRAME_SIDE square, pixel-center convention; exact at scale 1.
+
+    FRAME_SIDE = 256 makes every tap weight a multiple of 1/512, so the float64
+    floor(sum(v * wy * wx) + 0.5) is exact: this int32 sum of v * 512wy * 512wx.
+    """
     h, w = img.shape[:2]
-    if (h, w) == (out_h, out_w):
+    if (h, w) == (FRAME_SIDE, FRAME_SIDE):
         return img.copy()
-    sy = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    sx = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    sy = np.clip(sy, 0.0, h - 1.0)
-    sx = np.clip(sx, 0.0, w - 1.0)
-    y0 = np.floor(sy).astype(np.intp)
-    x0 = np.floor(sx).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (sy - y0)[:, None, None]
-    wx = (sx - x0)[None, :, None]
-    # Gather the uint8 taps first and widen only those: uint8 -> float64 is
-    # exact, so each output sees the same float operations, in the same
-    # order, as interpolating a widened copy of the whole image.
-    row0 = img[y0]
-    row1 = img[y1]
-    top = row0[:, x0].astype(np.float64)
-    right = row0[:, x1].astype(np.float64)
-    bot = row1[:, x0].astype(np.float64)
-    bot_right = row1[:, x1].astype(np.float64)
-    top *= 1 - wx
+    y0, y1, wy = _taps(h)
+    wy = wy[:, None, None]
+    cols = img[y0] * (512 - wy)
+    cols += img[y1] * wy
+    cols = cols.reshape(FRAME_SIDE, 3 * w)
+    # horizontal pass over (row, 3 * x + channel) columns: one flat gather per tap
+    x0, x1, wx = (np.repeat(t, 3) for t in _taps(w))
+    rgb = np.tile(np.arange(3), FRAME_SIDE)
+    out = cols[:, 3 * x0 + rgb]
+    out *= 512 - wx
+    right = cols[:, 3 * x1 + rgb]
     right *= wx
-    top += right
-    bot *= 1 - wx
-    bot_right *= wx
-    bot += bot_right
-    top *= 1 - wy
-    bot *= wy
-    top += bot
-    top += 0.5
-    np.floor(top, out=top)
-    return top.astype(np.uint8)
+    out += right
+    out += 1 << 17
+    return (out >> 18).astype(np.uint8).reshape(FRAME_SIDE, FRAME_SIDE, 3)
 
 
 def normalize_frame(img: np.ndarray, stream_index: int = 0) -> FrameGrid:
@@ -163,7 +158,7 @@ def normalize_frame(img: np.ndarray, stream_index: int = 0) -> FrameGrid:
     if h < MIN_FRAME_SIDE or w < MIN_FRAME_SIDE:
         raise TooSmall(f"frame {w}x{h} is below the {MIN_FRAME_SIDE} px minimum")
     square = _center_crop_square(arr)
-    return FrameGrid(bilinear_resize(square, FRAME_SIDE, FRAME_SIDE), stream_index=stream_index)
+    return FrameGrid(bilinear_resize(square), stream_index=stream_index)
 
 
 def normalize_mask(mask: np.ndarray) -> StoneMask:

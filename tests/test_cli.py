@@ -16,7 +16,7 @@ from lithovid.cli import main
 from lithovid.core import CANONICAL_ORDER, MorphClass
 from lithovid.errors import LithovidError
 from lithovid.evaluate import timeline_from_json
-from lithovid.video_io import read_pgm, write_pgm
+from lithovid.video_io import read_pgm, read_ppm, write_pgm
 
 from conftest import write_score_csv
 
@@ -387,6 +387,49 @@ class TestInputBoundaries:
         assert code == 3
         assert list(out.iterdir()) == []
 
+    def test_failed_overlay_write_leaves_no_partial_frame(self, workspace, tmp_path, monkeypatch):
+        from lithovid import cli
+
+        written = []
+
+        def failing(path, img):
+            if len(written) == 2:
+                Path(path).write_bytes(b"P6\n256 256\n255\n" + img.tobytes()[:1000])
+                raise OSError("disk full")
+            cli_write_ppm(path, img)
+            written.append(path)
+
+        cli_write_ppm = cli.write_ppm
+        monkeypatch.setattr(cli, "write_ppm", failing)
+        out = tmp_path / "o"
+        code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
+                     "--out", str(out), "--model", str(workspace / "model.json"), "--overlay"])
+        assert code == 3
+        overlay_dir = out / "overlays" / "Ia-clean-000"
+        assert sorted(p.name for p in overlay_dir.iterdir()) == ["frame_000000.ppm",
+                                                                 "frame_000001.ppm"]
+        for path in overlay_dir.iterdir():
+            assert read_ppm(path).shape == (256, 256, 3)
+
+    def test_overlay_bytes_are_the_plain_ppm_bytes(self, workspace, tmp_path):
+        from lithovid.cli import render_overlay
+        from lithovid.video_io import load_stream, normalize_video, write_ppm
+
+        videos = one_video(workspace, tmp_path / "v")
+        out = tmp_path / "o"
+        assert main(["run", "--videos", str(videos), "--out", str(out),
+                     "--model", str(workspace / "model.json"), "--overlay"]) == 0
+        timeline, _, _ = timeline_from_json((out / "Ia-clean-000.json").read_text("utf-8"))
+        frames, truths = normalize_video(load_stream(videos / "Ia-clean-000"))
+        overlay_dir = out / "overlays" / "Ia-clean-000"
+        names = [f"frame_{rec.stream_index:06d}.ppm" for rec in timeline.records]
+        assert sorted(p.name for p in overlay_dir.iterdir()) == names
+        plain = tmp_path / "plain.ppm"
+        for rec, frame, name in zip(timeline.records, frames, names):
+            label = rec.label.display if rec.qc.passed else "X"
+            write_ppm(plain, render_overlay(frame, truths[rec.stream_index], label))
+            assert (overlay_dir / name).read_bytes() == plain.read_bytes()
+
     def test_inconsistent_truth_labels_are_data_error(self, workspace, tmp_path, capsys):
         truth = tmp_path / "truth" / "Ia-clean-000"
         truth.mkdir(parents=True)
@@ -448,6 +491,24 @@ class TestEvalCommand:
         code = main(["eval", "--timelines", str(timelines), "--out", str(tmp_path / "o")])
         assert code == 2
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("truth", [False, True], ids=["no-truth", "truth"])
+    @pytest.mark.parametrize("case", ["empty-id", "label-less"])
+    def test_timeline_without_truth_names_file(self, workspace, tmp_path, capsys, case, truth):
+        timelines = tmp_path / "tl"
+        timelines.mkdir()
+        bad = timelines / "unlabelled.json"
+        if case == "empty-id":
+            bad.write_text('{"video_id": "", "records": [], "decision": null, '
+                           '"decision_path": null}', "utf-8")
+        else:
+            edit_json(workspace / "timelines" / "Ia-clean-000.json", bad,
+                      lambda p: p.update(video_id="ghost", truth_label=None))
+        args = ["eval", "--timelines", str(timelines), "--out", str(tmp_path / "o")]
+        code = main(args + (["--truth", str(workspace / "cohort")] if truth else []))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "no ground-truth label" in err
 
     @given(data=st.binary(max_size=200) | timeline_like_json())
     @settings(max_examples=200, deadline=None)

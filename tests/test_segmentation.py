@@ -181,6 +181,82 @@ class TestCleanMask:
         assert not out[20, 20]
 
 
+def reference_clean_mask(bits, min_component_px):
+    """clean_mask as it was before it worked on the bounding box."""
+    labels, n = ndimage.label(bits)
+    if n == 0:
+        return np.zeros_like(bits, dtype=bool)
+    sizes = np.bincount(labels.ravel())
+    keep = sizes >= min_component_px
+    keep[0] = False
+    kept = keep[labels]
+    return ndimage.binary_fill_holes(kept)
+
+
+def ring(side, y, x, outer, inner):
+    yy, xx = np.mgrid[:side, :side]
+    r2 = (yy - y) ** 2 + (xx - x) ** 2
+    return (r2 < outer**2) & (r2 >= inner**2)
+
+
+class TestCleanMaskExact:
+    def assert_matches(self, bits, min_component_px=64):
+        out = clean_mask(bits, min_component_px)
+        assert out.dtype == bool
+        assert np.array_equal(out, reference_clean_mask(bits, min_component_px))
+
+    def test_random_masks(self):
+        rng = np.random.Generator(np.random.Philox(key=[17, 3]))
+        for _ in range(400):
+            bits = np.zeros((64, 64), dtype=bool)
+            y0, x0 = rng.integers(0, 64, size=2)
+            y1, x1 = rng.integers(y0, 65), rng.integers(x0, 65)
+            bits[y0:y1, x0:x1] = rng.random((y1 - y0, x1 - x0)) < rng.uniform(0.2, 0.8)
+            self.assert_matches(bits, int(rng.integers(1, 30)))
+
+    @pytest.mark.parametrize("opened", [False, True])
+    @pytest.mark.parametrize("edges", ["none", "top", "bottom", "left", "right",
+                                       "top left", "bottom right", "top bottom left right"])
+    def test_outline_touching_frame_edges(self, edges, opened):
+        """A 3-px outline along the named frame edges encloses a hole, unless its
+        side on the first named edge (top when none) is cut open."""
+        sides = edges.split()
+        top, bottom = (0 if "top" in sides else 10), (64 if "bottom" in sides else 50)
+        left, right = (0 if "left" in sides else 12), (64 if "right" in sides else 52)
+        bits = np.zeros((64, 64), dtype=bool)
+        bits[top:bottom, left:right] = True
+        bits[top + 3 : bottom - 3, left + 3 : right - 3] = False
+        if opened:
+            bits[{"none": np.s_[top : top + 3, 30:34],
+                  "top": np.s_[top : top + 3, 30:34],
+                  "bottom": np.s_[bottom - 3 : bottom, 30:34],
+                  "left": np.s_[30:34, left : left + 3],
+                  "right": np.s_[30:34, right - 3 : right]}[sides[0]]] = False
+        self.assert_matches(bits, 10)
+        assert clean_mask(bits, 10)[32, 32] != opened
+
+    def test_island_inside_a_hole_inside_a_component(self):
+        bits = ring(256, 120, 130, 60, 30) | ring(256, 120, 130, 15, 0)
+        assert clean_mask(bits, 64)[120, 130 + 25]  # the hole around the island is filled
+        self.assert_matches(bits)
+
+    def test_empty_mask(self):
+        self.assert_matches(np.zeros((256, 256), dtype=bool))
+
+    def test_all_components_too_small(self):
+        rng = np.random.Generator(np.random.Philox(key=[17, 4]))
+        bits = rng.random((256, 256)) < 0.05
+        assert not clean_mask(bits, 64).any()
+        self.assert_matches(bits)
+
+    def test_chroma_candidates_on_phantom_frames(self, chroma):
+        video, _, _ = generate_phantom(PhantomSpec(seed=12, label=MorphClass.IA_IIB,
+                                                   duration_s=2.0))
+        frames, _ = normalize_video(video)
+        for frame in frames:
+            self.assert_matches(chroma.distances_sq(frame.pixels) > chroma.tau**2)
+
+
 class TestOracleSegmenter:
     def test_pass_through(self):
         spec = PhantomSpec(seed=4, label=MorphClass.IIB, duration_s=1.0)
@@ -271,3 +347,45 @@ class TestChromaSegmenter:
                 background_cov=np.zeros((3, 3)),
                 tau=3.0,
             )
+
+
+def reference_distances_sq(seg, pixels):
+    """ChromaSegmenter.distances_sq as it was before its explicit sum."""
+    diff = pixels.astype(np.float64) - seg.background_mean
+    return np.einsum("...i,ij,...j->...", diff, seg._inv_cov, diff)
+
+
+def same_floats(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestDistancesExact:
+    @pytest.fixture(params=["fitted", "random spd"])
+    def seg(self, request, chroma):
+        if request.param == "fitted":
+            return chroma
+        rng = np.random.Generator(np.random.Philox(key=[5, 5]))
+        m = rng.normal(size=(3, 3))
+        return ChromaSegmenter(background_mean=rng.uniform(0.0, 255.0, size=3),
+                               background_cov=m @ m.T * 40.0 + 4.0 * np.eye(3), tau=3.0)
+
+    def test_every_colour_bit_for_bit(self, seg):
+        block = np.empty((256, 256, 3), dtype=np.uint8)
+        block[..., 1] = np.arange(256)[:, None]
+        block[..., 2] = np.arange(256)
+        for red in range(256):
+            block[..., 0] = red
+            assert same_floats(seg.distances_sq(block), reference_distances_sq(seg, block)), red
+
+    def test_calibrate_shaped_input_bit_for_bit(self, seg):
+        rng = np.random.Generator(np.random.Philox(key=[5, 6]))
+        pixels = np.concatenate([rng.integers(0, 256, size=(4000, 3)).astype(np.float64),
+                                 rng.uniform(-40.0, 300.0, size=(4000, 3))])
+        assert same_floats(seg.distances_sq(pixels), reference_distances_sq(seg, pixels))
+
+    def test_calibration_file_unchanged(self, tmp_path, monkeypatch):
+        stills = training_stills(99, 6)
+        calibrate_chroma((f, m) for f, m, _ in stills).save(tmp_path / "new.json")
+        monkeypatch.setattr(ChromaSegmenter, "distances_sq", reference_distances_sq)
+        calibrate_chroma((f, m) for f, m, _ in stills).save(tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()

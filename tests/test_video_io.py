@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lithovid.core import STREAM_FPS, MorphClass
+from lithovid.core import FRAME_SIDE, STREAM_FPS, MorphClass
 from lithovid.errors import (
     CorruptManifest,
     DimensionMismatch,
@@ -20,8 +20,9 @@ from lithovid.errors import (
     TooSmall,
     ValidationError,
 )
-from lithovid.phantom import clean_spec, generate_phantom
+from lithovid.phantom import PhantomSpec, clean_spec, generate_phantom
 from lithovid.video_io import (
+    MIN_FRAME_SIDE,
     RawVideo,
     bilinear_resize,
     load_stream,
@@ -287,20 +288,47 @@ def reference_bilinear_resize(img, out_h, out_w):
     return np.floor(out + 0.5).astype(np.uint8)
 
 
+def hd30_shaped(frame):
+    """A 256x256 picture as the 480x480 nearest-neighbour square of a 640x480 frame."""
+    idx = np.floor((np.arange(480) + 0.5) * 256 / 480).astype(np.intp)
+    img = np.zeros((480, 640, 3), dtype=np.uint8)
+    img[:, 80:560] = frame[idx][:, idx]
+    return img
+
+
 class TestBilinearResizeExact:
-    @pytest.mark.parametrize("shape", [(480, 640), (479, 641), (33, 19), (480, 480)])
+    @pytest.mark.parametrize("shape", [(480, 640), (479, 641), (33, 19), (480, 480),
+                                       (1080, 1920), (16, 16), (257, 300)])
     def test_matches_reference_formula(self, shape):
         rng = np.random.Generator(np.random.Philox(key=[shape[0], shape[1]]))
         img = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
-        assert np.array_equal(bilinear_resize(img, 256, 256),
-                              reference_bilinear_resize(img, 256, 256))
+        assert np.array_equal(bilinear_resize(img), reference_bilinear_resize(img, 256, 256))
+
+    def test_matches_reference_on_hd30_shaped_phantom(self):
+        video, _, _ = generate_phantom(PhantomSpec(seed=7, label=MorphClass.IIB, duration_s=2.0))
+        for frame in video.frames[::3]:
+            square = hd30_shaped(frame)[:, 80:560]
+            assert np.array_equal(bilinear_resize(square),
+                                  reference_bilinear_resize(square, 256, 256))
 
     def test_scale_one_is_a_copy(self):
         rng = np.random.Generator(np.random.Philox(key=[9, 9]))
         img = rng.integers(0, 256, size=(256, 256, 3), dtype=np.uint8)
-        out = bilinear_resize(img, 256, 256)
+        out = bilinear_resize(img)
         assert np.array_equal(out, img)
         assert not np.shares_memory(out, img)
+
+    def test_integer_premise_holds_for_every_input_side(self):
+        """The int32 resize equals the float formula only while, onto FRAME_SIDE,
+        every tap weight x512 is an integer in [0, 512) and the sum fits int32."""
+        for side in range(MIN_FRAME_SIDE, 4097):
+            s = (np.arange(FRAME_SIDE) + 0.5) * (side / FRAME_SIDE) - 0.5
+            s = np.clip(s, 0.0, side - 1.0)
+            w512 = (s - np.floor(s)) * 512
+            assert np.array_equal(w512, np.floor(w512)), side
+            assert 0 <= w512.min() and w512.max() < 512, side
+            assert np.array_equal(video_io._taps(side)[2], w512), side
+        assert 255 * 512**2 + 2**17 < 2**31
 
 
 def store_random_video(dir_path, n, fps, h=24, w=32, seed=0):
