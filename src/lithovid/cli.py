@@ -36,7 +36,8 @@ from .classify import (
     import_scores,
     train_centroid,
 )
-from .core import CANONICAL_ORDER, STREAM_FPS, FrameGrid, MorphClass, StoneMask, VideoTimeline
+from .core import CANONICAL_ORDER, FRAME_SIDE, STREAM_FPS, FrameGrid, MorphClass, StoneMask
+from .core import VideoTimeline
 from .errors import (
     CorruptManifest,
     DimensionMismatch,
@@ -50,6 +51,7 @@ from .rng import derive_seed
 from .segmentation import ChromaSegmenter, OracleSegmenter, calibrate_chroma
 from .video_io import (
     MANIFEST_NAME,
+    LazySequence,
     list_video_dirs,
     load_stream,
     normalize_video,
@@ -82,6 +84,17 @@ def _workers() -> int:
     if n < 1:
         raise UsageError("LITHO_WORKERS must be >= 1")
     return n
+
+
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type for a count: an integer no smaller than minimum."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+
+    return count
 
 
 def _config_argv(args) -> list[str]:
@@ -155,15 +168,16 @@ def render_overlay(frame: FrameGrid, mask: Optional[StoneMask], label_text: str)
 # -- per-video run worker --------------------------------------------------------
 
 
-def _import_masks(masks_root: Path, video_id: str, frames: list[FrameGrid]) -> OracleSegmenter:
-    masks = []
-    for frame in frames:
-        path = masks_root / video_id / f"mask_{frame.stream_index:06d}.pgm"
+def _import_masks(masks_root: Path, video_id: str, n_frames: int) -> OracleSegmenter:
+    """Segmenter that reads stream frame k's imported mask when frame k is segmented."""
+    def read(k: int) -> StoneMask:
+        path = masks_root / video_id / f"mask_{k:06d}.pgm"
         bits = read_pgm(path)
-        if bits.shape != frame.pixels.shape[:2]:
-            raise DimensionMismatch(f"{path} has shape {bits.shape}, not {frame.pixels.shape[:2]}")
-        masks.append(StoneMask(bits > 127))
-    return OracleSegmenter.from_masks(masks)
+        if bits.shape != (FRAME_SIDE, FRAME_SIDE):
+            raise DimensionMismatch(f"{path} has shape {bits.shape}, not {(FRAME_SIDE,) * 2}")
+        return StoneMask(bits > 127)
+
+    return OracleSegmenter.from_masks(LazySequence(n_frames, read))
 
 
 def _write_replacing(target: Path, write: Callable[[Path], object]) -> None:
@@ -178,11 +192,12 @@ def _write_replacing(target: Path, write: Callable[[Path], object]) -> None:
 
 def _run_one_video(video_dir: Path, out_dir: Path, variant: Variant, qc: QcConfig,
                    chroma: Optional[ChromaSegmenter], masks: Optional[Path],
-                   model: Optional[CentroidModel], scores: Optional[Path], overlay: bool) -> str:
+                   model: Optional[CentroidModel], scores: Optional[Path], overlay: bool) -> None:
     """Run one video and write its timeline (and overlays) under out_dir.
 
     The chroma segmenter, else the masks root, else the video's own truth
     masks segment it; the model, else the scores root, classifies it.
+    One pass reads each frame once; its overlay is written as it is classified.
     """
     video = load_stream(video_dir, STREAM_FPS)
     frames, truths = normalize_video(video)
@@ -191,32 +206,38 @@ def _run_one_video(video_dir: Path, out_dir: Path, variant: Variant, qc: QcConfi
         if chroma is not None:
             segmenter = chroma
         elif masks is not None:
-            segmenter = _import_masks(masks, video.video_id, frames)
+            segmenter = _import_masks(masks, video.video_id, len(frames))
         elif truths is None:
             raise NoTruthAvailable("oracle segmenter requires truth masks in the manifest")
         else:
             segmenter = OracleSegmenter.from_masks(truths)
-        if overlay:
-            # segment once; the gate and the overlay writer read the same masks
-            segmenter = OracleSegmenter.from_masks([segmenter.segment(f) for f in frames])
     classifier = model or ScoreTable(import_scores(scores / f"{video.video_id}.csv"))
 
-    timelines = run_timeline(video.video_id, frames, segmenter, classifier, qc, (variant,))
-    timeline = timelines[variant]
-    payload = evaluate.timeline_to_json(timeline, truth_label=video.truth_label, variant=variant)
-    _write_replacing(out_dir / f"{video.video_id}.json",
-                     lambda tmp: tmp.write_text(payload, "utf-8"))
-
+    write_overlay = None
     if overlay:
         overlay_dir = out_dir / "overlays" / video.video_id
         overlay_dir.mkdir(parents=True, exist_ok=True)
-        for rec, frame in zip(timeline.records, frames):
-            text = rec.label.display if rec.qc.passed else "X"
-            mask = segmenter.truths[rec.stream_index] if segmenter is not None else None
-            img = render_overlay(frame, mask, text)
+
+        def write_overlay(frame: FrameGrid, mask: Optional[StoneMask], records: dict) -> None:
+            rec = records[variant]
+            img = render_overlay(frame, mask, rec.label.display if rec.qc.passed else "X")
             _write_replacing(overlay_dir / f"frame_{rec.stream_index:06d}.ppm",
                              lambda tmp: write_ppm(tmp, img))
-    return video.video_id
+
+    timelines = run_timeline(video.video_id, frames, segmenter, classifier, qc, (variant,),
+                             write_overlay)
+    payload = evaluate.timeline_to_json(timelines[variant], truth_label=video.truth_label,
+                                        variant=variant)
+    _write_replacing(out_dir / f"{video.video_id}.json",
+                     lambda tmp: tmp.write_text(payload, "utf-8"))
+
+
+def _run_isolated(video_dir: Path, **job) -> Optional[str]:
+    """_run_one_video; a data error comes back as its message, so the cohort goes on."""
+    try:
+        _run_one_video(video_dir, **job)
+    except LithovidError as exc:
+        return f"{video_dir}: {exc}"
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -250,10 +271,8 @@ def _cohort_samples(cohort: Path, per_video: int):
             raise NoTruthAvailable(f"{video_dir} lacks truth masks or label")
         frames, truths = normalize_video(video)
         usable = [k for k, m in enumerate(truths) if m is not None and not m.empty]
-        if not usable:
-            continue
         step = max(1, len(usable) // per_video)
-        for k in usable[::step][:per_video]:
+        for k in usable[::step][:per_video]:  # only these frames are decoded
             yield frames[k], truths[k], video.truth_label
 
 
@@ -310,17 +329,20 @@ def cmd_run(args) -> int:
     model = CentroidModel.load(Path(args.model)) if args.classifier == "centroid" else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    job = partial(_run_one_video, out_dir=out_dir, variant=Variant(args.variant), qc=qc,
+    job = partial(_run_isolated, out_dir=out_dir, variant=Variant(args.variant), qc=qc,
                   chroma=chroma, masks=Path(args.masks) if args.segmenter == "import" else None,
                   model=model, scores=Path(args.scores) if args.classifier == "import" else None,
                   overlay=args.overlay)
     if workers == 1:
-        done = [job(d) for d in video_dirs]
+        results = [job(d) for d in video_dirs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(job, video_dirs))
-    print(f"wrote {len(done)} timelines to {out_dir}")
-    return EXIT_OK
+            results = list(pool.map(job, video_dirs))
+    errors = [e for e in results if e is not None]
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    print(f"wrote {len(video_dirs) - len(errors)} timelines to {out_dir}")
+    return EXIT_DATA if errors else EXIT_OK
 
 
 def _load_timelines(timeline_dir: Path):
@@ -457,7 +479,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("phantom", help="generate labeled synthetic cohorts")
     p.add_argument("--out", required=True)
-    p.add_argument("--per-class", type=int, default=2, dest="per_class")
+    p.add_argument("--per-class", type=_at_least(0), default=2, dest="per_class")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=float, default=10.0)
     p.add_argument("--profile", choices=sorted(phantom.PROFILE_BUILDERS), default="clean")
@@ -465,16 +487,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate-seg", help="fit the color segmenter")
     p.add_argument("--cohort", help="video cohort with truth masks")
-    p.add_argument("--stills", type=int, default=40, help="synthesized stills per class")
-    p.add_argument("--per-video", type=int, default=6, dest="per_video")
+    p.add_argument("--stills", type=_at_least(1), default=40, help="synthesized stills per class")
+    p.add_argument("--per-video", type=_at_least(1), default=6, dest="per_video")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate_seg)
 
     p = sub.add_parser("train-cls", help="fit the centroid classifier")
     p.add_argument("--cohort", help="video cohort with truth masks and labels")
-    p.add_argument("--stills", type=int, default=50, help="synthesized stills per class")
-    p.add_argument("--per-video", type=int, default=6, dest="per_video")
+    p.add_argument("--stills", type=_at_least(1), default=50, help="synthesized stills per class")
+    p.add_argument("--per-video", type=_at_least(1), default=6, dest="per_video")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--beta", type=float, default=50.0)
     p.add_argument("--out", required=True)

@@ -10,7 +10,7 @@ asked for is served from one pass over the frames.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -44,20 +44,25 @@ def run_timeline(
     classifier: Classifier,
     cfg: QcConfig = QcConfig(),
     variants: Sequence[Variant] = (Variant.FULL,),
+    on_frame: Optional[Callable[[FrameGrid, Optional[StoneMask], dict], None]] = None,
 ) -> dict[Variant, VideoTimeline]:
     """Run steps 1-4 over normalized frames, one timeline per variant.
 
+    frames is consumed in one pass, so a lazy sequence (normalize_video's)
+    is decoded and normalized one frame at a time and none is kept.
     Each frame is segmented and gated once, and only if a gated variant
     is asked for. It is classified at most once with the stone mask (full,
     passing frames) and at most once with the whole frame, shared by
     no-masking on passing frames and by no-qc on every frame.
+    on_frame(frame, stone mask or None, {variant: record}) sees each frame
+    as soon as its records are made.
     """
     gated = any(v is not Variant.NO_QC for v in variants)
     records: dict[Variant, list[PredictionRecord]] = {v: [] for v in variants}
     previous: Optional[StoneMask] = None
     for frame in frames:
         index = frame.stream_index
-        passed = False
+        passed, mask = False, None
         if gated:
             mask = segmenter.segment(frame)
             verdict = check_frame(mask, previous, cfg)
@@ -74,6 +79,8 @@ def run_timeline(
             else:
                 scores = classifier.predict(frame, mask) if variant is Variant.FULL else whole
                 out.append(PredictionRecord.passing(index, scores, dsc=verdict.dsc))
+        if on_frame is not None:
+            on_frame(frame, mask, {v: out[-1] for v, out in records.items()})
     timelines = {}
     for variant, out in records.items():
         labels = [r.label for r in out if r.qc.passed]
@@ -89,7 +96,7 @@ def run_raw_video(
     cfg: QcConfig = QcConfig(),
     variants: Sequence[Variant] = (Variant.FULL,),
 ) -> dict[Variant, VideoTimeline]:
-    """Standardize a raw video once, then run the pipeline for every variant.
+    """Standardize a raw video lazily, then run the pipeline for every variant in one pass.
 
     segmenter_factory(frames, truth_masks) builds the per-video
     segmenter; it receives the normalized truth masks so oracle

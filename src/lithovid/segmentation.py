@@ -138,17 +138,18 @@ def clean_mask(bits: np.ndarray, min_component_px: int) -> np.ndarray:
 class OracleSegmenter:
     """Ground-truth pass-through for phantom streams (upper-bound baseline)."""
 
-    truths: tuple[Optional[StoneMask], ...]
+    truths: Sequence[Optional[StoneMask]]  # may be lazy: each mask is read once per segment call
 
     def segment(self, frame: FrameGrid) -> StoneMask:
         idx = frame.stream_index
-        if idx >= len(self.truths) or self.truths[idx] is None:
+        mask = self.truths[idx] if idx < len(self.truths) else None
+        if mask is None:
             raise NoTruthAvailable(f"no ground-truth mask for stream index {idx}")
-        return self.truths[idx]
+        return mask
 
     @classmethod
     def from_masks(cls, masks: Sequence[Optional[StoneMask]]) -> "OracleSegmenter":
-        return cls(truths=tuple(masks))
+        return cls(truths=masks)
 
 
 @dataclass(frozen=True, eq=False)

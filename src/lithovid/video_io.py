@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,25 +33,47 @@ MANIFEST_NAME = "manifest.json"
 MIN_FRAME_SIDE = 16
 
 
+class LazySequence(Sequence):
+    """Read-only sequence whose item k is make(k), computed on every access and never kept."""
+
+    def __init__(self, n: int, make: Callable[[int], object]) -> None:
+        self._n, self._make = n, make
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):  # Sequence's default would end early on an IndexError from make
+        return map(self._make, range(self._n))
+
+    def __getitem__(self, k):
+        picked = range(self._n)[k]  # IndexError past either end; a slice picks a range
+        if isinstance(picked, range):
+            return LazySequence(len(picked), lambda i: self._make(picked[i]))
+        return self._make(picked)
+
+
 @dataclass(frozen=True, eq=False)
 class RawVideo:
     """An ordered frame sequence prior to (or after) standardization.
 
+    frames is a tuple of arrays, checked here, or a LazySequence whose
+    maker checks them (load_stream's decodes a frame when it is accessed).
     truth_masks / truth_label carry per-frame ground truth when the
     video comes from the phantom generator or an annotated container.
     """
 
     video_id: str
     native_fps: float
-    frames: tuple[np.ndarray, ...]
-    truth_masks: Optional[tuple[Optional[np.ndarray], ...]] = None
+    frames: Sequence[np.ndarray]
+    truth_masks: Optional[Sequence[Optional[np.ndarray]]] = None
     truth_label: Optional[MorphClass] = None
 
     def __post_init__(self) -> None:
         if not 0 < self.native_fps < math.inf:
             raise ValidationError(f"native_fps must be positive and finite, got {self.native_fps}")
-        frames = tuple(self.frames)
-        for i, f in enumerate(frames):
+        eager = not isinstance(self.frames, LazySequence)
+        frames = tuple(self.frames) if eager else self.frames
+        for i, f in enumerate(frames if eager else ()):
             if f.dtype != np.uint8 or f.ndim != 3 or f.shape[2] != 3:
                 raise ValidationError(f"frame {i} must be HxWx3 uint8")
             if f.shape != frames[0].shape:
@@ -59,10 +82,10 @@ class RawVideo:
                 )
         object.__setattr__(self, "frames", frames)
         if self.truth_masks is not None:
-            masks = tuple(self.truth_masks)
+            masks = tuple(self.truth_masks) if eager else self.truth_masks
             if len(masks) != len(frames):
                 raise ValidationError("truth_masks must align one-to-one with frames")
-            for i, m in enumerate(masks):
+            for i, m in enumerate(masks if eager else ()):
                 if m is not None and m.shape != frames[i].shape[:2]:
                     raise DimensionMismatch(f"truth mask {i} does not match its frame")
             object.__setattr__(self, "truth_masks", masks)
@@ -71,34 +94,30 @@ class RawVideo:
         return len(self.frames)
 
 
-def _grid_indices(n: int, native_fps: float, target_fps: float) -> list[int]:
-    """Native frame index for each output frame of resample_temporal."""
-    native = Fraction(native_fps)
-    target = Fraction(target_fps)
-    half = Fraction(1, 2)
-    count = max(1, int(n * target / native + half))
-    ratio = native / target
-    return [min(n - 1, int(k * ratio + half)) for k in range(count)]
-
-
 def resample_temporal(video: RawVideo, target_fps: float = STREAM_FPS) -> RawVideo:
     """Resample to target_fps by nearest-native-timestamp frame selection.
 
     Output frame k is the input frame whose timestamp is nearest to
     k/target_fps; an exact midpoint resolves to the later frame. The
     output spans the input duration within one output period. Exact
-    rational arithmetic keeps the selection float-free.
+    rational arithmetic keeps the selection float-free. The output's
+    frames and masks are lazy views: frame k reads the input when accessed.
     """
     if target_fps <= 0:
         raise ValidationError("target_fps must be positive")
     n = len(video.frames)
     if n == 0:
         raise EmptyVideo(f"video {video.video_id!r} has no frames")
-    indices = _grid_indices(n, video.native_fps, target_fps)
-    frames = tuple(video.frames[i] for i in indices)
+    native = Fraction(video.native_fps)
+    target = Fraction(target_fps)
+    half = Fraction(1, 2)
+    count = max(1, int(n * target / native + half))
+    ratio = native / target
+    indices = [min(n - 1, int(k * ratio + half)) for k in range(count)]
+    frames = LazySequence(len(indices), lambda k: video.frames[indices[k]])
     masks = None
     if video.truth_masks is not None:
-        masks = tuple(video.truth_masks[i] for i in indices)
+        masks = LazySequence(len(indices), lambda k: video.truth_masks[indices[k]])
     return RawVideo(
         video_id=video.video_id,
         native_fps=float(target_fps),
@@ -287,9 +306,10 @@ def store_stream(video: RawVideo, dir_path: Path) -> Path:
         name = f"frame_{i:06d}.ppm"
         write_ppm(out / name, frame)
         entry: dict = {"file": name}
-        if video.truth_masks is not None and video.truth_masks[i] is not None:
+        mask = None if video.truth_masks is None else video.truth_masks[i]  # read once if lazy
+        if mask is not None:
             mask_name = f"mask_{i:06d}.pgm"
-            write_pgm(out / mask_name, video.truth_masks[i])
+            write_pgm(out / mask_name, mask)
             entry["truth_mask"] = mask_name
         if video.truth_label is not None:
             entry["truth_label"] = video.truth_label.tag
@@ -307,13 +327,12 @@ def store_stream(video: RawVideo, dir_path: Path) -> Path:
 def load_stream(manifest_path: Path, target_fps: Optional[float] = None) -> RawVideo:
     """Load a video from its manifest (a manifest file or its directory).
 
-    With target_fps, return the video resampled to it as resample_temporal
-    would, decoding only the frames and truth masks it keeps. Every other
-    file still gets every check short of decoding: it exists, its header
-    is valid, it is long enough and its dimensions match.
+    Every frame and truth mask file gets every check short of decoding up
+    front: it exists, its header is valid, it is long enough and its
+    dimensions match. Frame k (and its mask) is decoded each time it is
+    accessed and never kept. With target_fps, return
+    resample_temporal(video, target_fps), so dropped frames are never decoded.
     """
-    if target_fps is not None and target_fps <= 0:
-        raise ValidationError("target_fps must be positive")
     path = Path(manifest_path)
     if path.is_dir():
         path = path / MANIFEST_NAME
@@ -329,58 +348,39 @@ def load_stream(manifest_path: Path, target_fps: Optional[float] = None) -> RawV
         entries = manifest["frames"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptManifest(f"{path} is missing required fields ({exc})") from None
-    grid = None
-    if target_fps is not None and entries and 0 < native_fps < math.inf:
-        grid = _grid_indices(len(entries), native_fps, target_fps)
-    decode = None if grid is None else set(grid)
     base = path.parent
-    frames: list[np.ndarray] = []
     shapes: list[tuple[int, ...]] = []
-    masks: list[Optional[np.ndarray]] = []
-    mask_shapes: list[Optional[tuple[int, ...]]] = []
     label: Optional[MorphClass] = None
     for i, entry in enumerate(entries):
         if "file" not in entry:
             raise CorruptManifest(f"{path}: frame entry {i} lacks a file reference")
-        keep = decode is None or i in decode
-        frame = read_ppm(base / entry["file"]) if keep else None
-        shape = frame.shape if keep else _pnm_shape(base / entry["file"], b"P6", 3)
-        if shapes and shape != shapes[0]:
+        shapes.append(_pnm_shape(base / entry["file"], b"P6", 3))
+        if shapes[-1] != shapes[0]:
             raise DimensionMismatch(
-                f"{path}: frame {i} has shape {shape[:2]}, expected {shapes[0][:2]}"
+                f"{path}: frame {i} has shape {shapes[-1][:2]}, expected {shapes[0][:2]}"
             )
-        frames.append(frame)
-        shapes.append(shape)
-        mask = mask_shape = None
-        if entry.get("truth_mask"):
-            if keep:
-                mask = read_pgm(base / entry["truth_mask"]) > 127
-                mask_shape = mask.shape
-            else:
-                mask_shape = _pnm_shape(base / entry["truth_mask"], b"P5", 1)
-        masks.append(mask)
-        mask_shapes.append(mask_shape)
+        mask = entry.get("truth_mask")
+        if mask and _pnm_shape(base / mask, b"P5", 1) != shapes[-1][:2]:
+            raise DimensionMismatch(f"truth mask {i} does not match its frame")
         if entry.get("truth_label"):
             entry_label = MorphClass.from_tag(entry["truth_label"])
             if label is not None and entry_label is not label:
                 raise CorruptManifest(f"{path}: inconsistent truth labels across frames")
             label = entry_label
-    has_masks = any(m is not None for m in mask_shapes)
-    if grid is not None:
-        # RawVideo checks only the masks it holds; check the skipped ones too
-        for i, (mask_shape, shape) in enumerate(zip(mask_shapes, shapes)):
-            if mask_shape is not None and mask_shape != shape[:2]:
-                raise DimensionMismatch(f"truth mask {i} does not match its frame")
-        frames = [frames[i] for i in grid]
-        masks = [masks[i] for i in grid]
-        native_fps = float(target_fps)
-    return RawVideo(
+    has_masks = any(entry.get("truth_mask") for entry in entries)
+
+    def read_mask(k: int) -> Optional[np.ndarray]:
+        name = entries[k].get("truth_mask")
+        return read_pgm(base / name) > 127 if name else None
+
+    video = RawVideo(
         video_id=video_id,
         native_fps=native_fps,
-        frames=tuple(frames),
-        truth_masks=tuple(masks) if has_masks else None,
+        frames=LazySequence(len(entries), lambda k: read_ppm(base / entries[k]["file"])),
+        truth_masks=LazySequence(len(entries), read_mask) if has_masks else None,
         truth_label=label,
     )
+    return video if target_fps is None else resample_temporal(video, target_fps)
 
 
 def list_video_dirs(root: Path) -> list[Path]:
@@ -388,11 +388,18 @@ def list_video_dirs(root: Path) -> list[Path]:
     return sorted(p for p in Path(root).iterdir() if (p / MANIFEST_NAME).is_file())
 
 
-def normalize_video(video: RawVideo) -> tuple[list[FrameGrid], Optional[list[Optional[StoneMask]]]]:
-    """Resample to 8 Hz and normalize every frame (and truth mask) to 256x256."""
+def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequence]]:
+    """Resample to 8 Hz and normalize the frames (and truth masks) to 256x256.
+
+    Both are lazy sequences: item k is decoded and normalized each time it
+    is accessed and never kept, so one pass holds one frame at a time.
+    """
     resampled = resample_temporal(video, STREAM_FPS)
-    frames = [normalize_frame(f, stream_index=k) for k, f in enumerate(resampled.frames)]
-    masks: Optional[list[Optional[StoneMask]]] = None
-    if resampled.truth_masks is not None:
-        masks = [None if m is None else normalize_mask(m) for m in resampled.truth_masks]
-    return frames, masks
+
+    def mask(k: int) -> Optional[StoneMask]:
+        m = resampled.truth_masks[k]
+        return None if m is None else normalize_mask(m)
+
+    frames = LazySequence(len(resampled),
+                          lambda k: normalize_frame(resampled.frames[k], stream_index=k))
+    return frames, None if resampled.truth_masks is None else LazySequence(len(resampled), mask)

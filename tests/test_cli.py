@@ -74,6 +74,38 @@ class TestPhantomCommand:
         assert main(["phantom", "--out", str(tmp_path / "empty"), "--per-class", "0"]) == 0
         assert "warning" in capsys.readouterr().err
 
+    def test_negative_per_class_is_usage_error(self, tmp_path, capsys):
+        assert main(["phantom", "--out", str(tmp_path / "none"), "--per-class", "-2"]) == 1
+        assert "--per-class" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
+
+class TestCohortSampleCount:
+    """--per-video and --stills below 1 are usage errors, never a traceback or a dropped sample."""
+
+    @pytest.mark.parametrize("command", ["train-cls", "calibrate-seg"])
+    def test_zero_stills_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        assert main([command, "--stills", "0", "--out", str(out)]) == 1
+        assert "--stills" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-cls", "calibrate-seg"])
+    def test_zero_per_video_is_usage_error(self, workspace, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        assert main([command, "--cohort", str(workspace / "cohort"), "--per-video", "0",
+                     "--out", str(out)]) == 1
+        assert "--per-video" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-cls", "calibrate-seg"])
+    def test_negative_per_video_is_usage_error(self, workspace, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        assert main([command, "--cohort", str(workspace / "cohort"), "--per-video", "-1",
+                     "--out", str(out)]) == 1
+        assert "--per-video" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_clean_ia_decides_majority(self, workspace):
@@ -197,6 +229,71 @@ class TestRunCommand:
                 assert np.array_equal(read_ppm(ppm), expected)
             frames_seen += len(frames)
         assert len(calls) == frames_seen
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_one_bad_video_spares_the_rest(self, workspace, tmp_path, capsys, monkeypatch,
+                                           workers):
+        import shutil
+
+        from lithovid.video_io import list_video_dirs
+
+        videos = tmp_path / "cohort"
+        shutil.copytree(workspace / "cohort", videos)
+        dirs = list_video_dirs(videos)
+        assert len(dirs) == 5
+        bad = dirs[1]
+        frame = bad / "frame_000003.ppm"
+        frame.write_bytes(frame.read_bytes()[:-10])
+        monkeypatch.setenv("LITHO_WORKERS", workers)
+        out = tmp_path / "out"
+        code = main(["run", "--videos", str(videos), "--out", str(out),
+                     "--model", str(workspace / "model.json")])
+        assert code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert errors == [f"error: {bad}: {frame} raster is truncated"]
+        written = sorted(p.name for p in out.glob("*.json"))
+        assert written == sorted(f"{d.name}.json" for d in dirs if d != bad)
+        for name in written:  # the same bytes as a run of the intact cohort
+            assert (out / name).read_bytes() == (workspace / "timelines" / name).read_bytes()
+
+    def test_run_holds_one_native_frame_at_a_time(self, workspace, tmp_path, monkeypatch):
+        import weakref
+
+        from lithovid import video_io
+        from lithovid.segmentation import ChromaSegmenter
+
+        rng = np.random.Generator(np.random.Philox(key=[640, 480]))
+        video = tmp_path / "videos" / "hd"
+        video.mkdir(parents=True)
+        names = [f"frame_{k:06d}.ppm" for k in range(32)]  # 32 grid frames at 8 Hz
+        for name in names:
+            video_io.write_ppm(video / name, rng.integers(0, 256, (480, 640, 3), np.uint8))
+        manifest = {"video_id": "hd", "native_fps": 8.0, "frames": [{"file": n} for n in names]}
+        (video / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+
+        decoded = []
+        read_ppm_orig = video_io.read_ppm
+
+        def tracking(path):
+            frame = read_ppm_orig(path)
+            decoded.append(weakref.ref(frame))
+            return frame
+
+        alive = []
+        segment = ChromaSegmenter.segment
+
+        def counting(self, frame):
+            alive.append(sum(ref() is not None for ref in decoded))
+            return segment(self, frame)
+
+        monkeypatch.setattr(video_io, "read_ppm", tracking)
+        monkeypatch.setattr(ChromaSegmenter, "segment", counting)
+        monkeypatch.delenv("LITHO_WORKERS", raising=False)
+        assert main(["run", "--videos", str(tmp_path / "videos"), "--out", str(tmp_path / "o"),
+                     "--segmenter", "chroma", "--calibration", str(workspace / "cal.json"),
+                     "--model", str(workspace / "model.json")]) == 0
+        assert len(decoded) == len(alive) == 32  # each grid frame decoded and segmented once
+        assert max(alive) <= 1
 
     @pytest.mark.parametrize("fps", [math.nan, math.inf])
     def test_non_finite_native_fps_is_data_error(self, workspace, tmp_path, capsys, fps):

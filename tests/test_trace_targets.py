@@ -31,3 +31,32 @@ def test_every_trace_target_resolves_and_is_restored():
         tracer.uninstall()
     assert all(w is not b for w, b in zip(wrapped, before))
     assert [vars(owner)[attr] for owner, attr in owners] == before
+
+
+def test_traced_run_records_every_layer_of_the_run_path(tmp_path, monkeypatch):
+    """A traced `run` still succeeds and each wrapped step of its path is called."""
+    import shutil
+
+    from lithovid.cli import main
+
+    assert main(["phantom", "--out", str(tmp_path / "all"), "--per-class", "1",
+                 "--seed", "5", "--duration", "2"]) == 0
+    shutil.move(tmp_path / "all" / "Ia-clean-000", tmp_path / "cohort" / "Ia-clean-000")
+    model, calibration = tmp_path / "model.json", tmp_path / "cal.json"
+    assert main(["train-cls", "--stills", "4", "--out", str(model)]) == 0
+    assert main(["calibrate-seg", "--stills", "3", "--out", str(calibration)]) == 0
+    monkeypatch.delenv("LITHO_WORKERS", raising=False)
+
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        code = main(["run", "--videos", str(tmp_path / "cohort"), "--out", str(tmp_path / "o"),
+                     "--segmenter", "chroma", "--calibration", str(calibration),
+                     "--classifier", "centroid", "--model", str(model)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    called = {span[0] for span in tracer.spans}
+    for name in ("video_io.load_stream", "video_io.read_ppm", "video_io.normalize_video",
+                 "segmentation.segment", "pipeline.run_timeline"):
+        assert name in called, name

@@ -23,6 +23,7 @@ from lithovid.errors import (
 from lithovid.phantom import PhantomSpec, clean_spec, generate_phantom
 from lithovid.video_io import (
     MIN_FRAME_SIDE,
+    LazySequence,
     RawVideo,
     bilinear_resize,
     load_stream,
@@ -62,6 +63,26 @@ def brute_force_indices(n, native_fps, target_fps, count):
                     best = i
         out.append(best)
     return out
+
+
+class TestLazySequence:
+    def test_computes_each_access_and_keeps_nothing(self):
+        made = []
+        seq = LazySequence(5, lambda k: made.append(k) or k * k)
+        assert len(seq) == 5 and list(seq) == [0, 1, 4, 9, 16]
+        assert seq[-1] == 16 and list(seq[1:4]) == [1, 4, 9] and list(seq[::-2]) == [16, 4, 0]
+        assert made == [0, 1, 2, 3, 4, 4, 1, 2, 3, 4, 2, 0]
+        with pytest.raises(IndexError):
+            seq[5]
+
+    def test_index_error_inside_make_is_not_the_end(self):
+        def make(k):
+            if k == 2:
+                raise IndexError("inside make")
+            return k
+
+        with pytest.raises(IndexError, match="inside make"):
+            list(LazySequence(4, make))
 
 
 class TestResample:
@@ -375,7 +396,10 @@ class TestGridOnlyLoad:
 
         monkeypatch.setattr(video_io, "read_ppm", counting(read_ppm_orig))
         monkeypatch.setattr(video_io, "read_pgm", counting(read_pgm_orig))
-        load_stream(d, STREAM_FPS)
+        video = load_stream(d, STREAM_FPS)
+        assert decoded == []  # decoding waits until a frame is accessed
+        for _ in zip(video.frames, video.truth_masks):
+            pass
         grid = [0, 4, 8, 11, 15, 19, 23, 26]
         assert decoded == [name for i in grid
                            for name in (f"frame_{i:06d}.ppm", f"mask_{i:06d}.pgm")]
@@ -390,7 +414,7 @@ class TestGridOnlyLoad:
         manifest_path.write_text(json.dumps(manifest), "utf-8")
         full = resample_temporal(load_stream(d), STREAM_FPS)
         grid = load_stream(d, STREAM_FPS)
-        assert full.truth_masks == grid.truth_masks == (None,) * 8
+        assert tuple(full.truth_masks) == tuple(grid.truth_masks) == (None,) * 8
 
     def test_long_header_comment_off_the_grid(self, tmp_path):
         d = store_random_video(tmp_path / "v", 30, 30.0)
