@@ -36,10 +36,9 @@ from .classify import (
     import_scores,
     train_centroid,
 )
-from .core import CANONICAL_ORDER, FRAME_SIDE, STREAM_FPS, FrameGrid, MorphClass, StoneMask
+from .core import CANONICAL_ORDER, FRAME_SIDE, FrameGrid, MorphClass, StoneMask
 from .core import VideoTimeline
 from .errors import (
-    CorruptManifest,
     DimensionMismatch,
     LithovidError,
     NoTruthAvailable,
@@ -55,6 +54,7 @@ from .video_io import (
     list_video_dirs,
     load_stream,
     normalize_video,
+    read_manifest,
     read_pgm,
     store_stream,
     write_ppm,
@@ -141,8 +141,9 @@ _GLYPHS = {
 }
 
 
-def _burn_text(img: np.ndarray, text: str, x: int = 4, y: int = 4, scale: int = 3) -> None:
-    cx = x
+def _burn_text(img: np.ndarray, text: str) -> None:
+    """Burn text in 3x-scaled glyphs, top left corner at (4, 4)."""
+    scale, y, cx = 3, 4, 4
     for ch in text:
         glyph = _GLYPHS.get(ch)
         if glyph is None:
@@ -199,7 +200,7 @@ def _run_one_video(video_dir: Path, out_dir: Path, variant: Variant, qc: QcConfi
     masks segment it; the model, else the scores root, classifies it.
     One pass reads each frame once; its overlay is written as it is classified.
     """
-    video = load_stream(video_dir, STREAM_FPS)
+    video = load_stream(video_dir)
     frames, truths = normalize_video(video)
     segmenter = None
     if variant is not Variant.NO_QC:
@@ -266,7 +267,7 @@ def cmd_phantom(args) -> int:
 def _cohort_samples(cohort: Path, per_video: int):
     """(frame, truth mask, label) samples drawn evenly from each video."""
     for video_dir in list_video_dirs(cohort):
-        video = load_stream(video_dir, STREAM_FPS)
+        video = load_stream(video_dir)
         if video.truth_masks is None or video.truth_label is None:
             raise NoTruthAvailable(f"{video_dir} lacks truth masks or label")
         frames, truths = normalize_video(video)
@@ -358,25 +359,12 @@ def _load_timelines(timeline_dir: Path):
 
 
 def _truth_lookup(truth_root: Optional[str]) -> dict[str, MorphClass]:
-    table: dict[str, MorphClass] = {}
     if truth_root is None:
-        return table
+        return {}
     if not Path(truth_root).is_dir():
         raise LithovidError(f"truth directory not found: {truth_root}")
-    for video_dir in list_video_dirs(Path(truth_root)):
-        path = video_dir / MANIFEST_NAME
-        try:
-            manifest = json.loads(path.read_text("utf-8"))
-            video_id = manifest["video_id"]
-            labels = {MorphClass.from_tag(entry["truth_label"])
-                      for entry in manifest.get("frames", []) if entry.get("truth_label")}
-            if len(labels) > 1:
-                raise CorruptManifest(f"{path}: inconsistent truth labels across frames")
-            if labels:
-                table[video_id] = labels.pop()
-        except (LithovidError, OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise CorruptManifest(f"{path} is not a valid manifest: {exc!r}") from None
-    return table
+    manifests = (read_manifest(d) for d in list_video_dirs(Path(truth_root)))
+    return {m.video_id: m.truth_label for m in manifests if m.truth_label is not None}
 
 
 def cmd_eval(args) -> int:
@@ -384,14 +372,18 @@ def cmd_eval(args) -> int:
     truth_table = _truth_lookup(args.truth)
     pairs = []
     timelines = []
-    variant = None
+    variant, variant_path = None, None
     for path, timeline, embedded_truth, tl_variant in loaded:
         truth = truth_table.get(timeline.video_id, embedded_truth)
         if truth is None:
             raise LithovidError(f"{path}: no ground-truth label for video {timeline.video_id!r}")
         pairs.append((truth, timeline.decision))
         timelines.append((timeline, truth))
-        variant = tl_variant or variant
+        if tl_variant is not None:
+            if variant not in (None, tl_variant):
+                raise LithovidError(f"{variant_path} is variant {variant.value} but {path} is "
+                                    f"{tl_variant.value}; evaluate one variant at a time")
+            variant, variant_path = tl_variant, path
     variant = variant or Variant.FULL
 
     tally = evaluate.ConfusionTally.from_pairs(pairs)

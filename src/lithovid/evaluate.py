@@ -26,7 +26,6 @@ from .core import (
 )
 from .errors import EmptyGroup, NoPositives, ValidationError
 from .pipeline import Variant, run_raw_video
-from .qc import QcConfig
 
 METRIC_NAMES = ("balanced_accuracy", "sensitivity", "specificity", "precision", "f1")
 METRICS_HEADER = ("variant", "class", *METRIC_NAMES)
@@ -183,7 +182,6 @@ def run_ablation(
     videos,
     segmenter_factory: Callable,
     classifier: Classifier,
-    cfg: QcConfig = QcConfig(),
     variants: Sequence[Variant] = (Variant.FULL, Variant.NO_MASKING, Variant.NO_QC),
 ) -> dict[Variant, AblationResult]:
     """Run the pipeline variants over one shared cohort.
@@ -196,7 +194,7 @@ def run_ablation(
     truths: list[MorphClass] = []
     for video, truth in videos:
         truths.append(truth)
-        per_variant = run_raw_video(video, segmenter_factory, classifier, cfg, variants)
+        per_variant = run_raw_video(video, segmenter_factory, classifier, variants)
         for variant, tl in per_variant.items():
             timelines[variant].append(tl)
     out = {}

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -114,8 +114,8 @@ class PhantomSpec:
     core: Optional[Palette] = None
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise InvalidSpec("duration_s must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise InvalidSpec(f"duration_s must be positive and finite, got {self.duration_s}")
         events = tuple(self.events)
         for ev in events:
             if ev.t_start < 0 or ev.t_end > self.duration_s + 1e-9:
@@ -734,15 +734,10 @@ def make_still(label: MorphClass, seed: int, section: bool = False):
     return FrameGrid(frame, stream_index=0), StoneMask(truth)
 
 
-def training_stills(
-    seed: int,
-    per_class: int,
-    classes: Sequence[MorphClass] = tuple(MorphClass),
-):
+def training_stills(seed: int, per_class: int):
     """Labeled stills, half surface / half section for pure classes."""
     out = []
-    ordered = [c for c in CANONICAL_ORDER if c in set(classes)]
-    for c in ordered:
+    for c in CANONICAL_ORDER:
         for i in range(per_class):
             child = (seed * 1_000_003 + c.rank * 10_007 + i) & ((1 << 63) - 1)
             frame, mask = make_still(c, child, section=(i % 2 == 1))

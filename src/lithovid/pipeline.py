@@ -93,7 +93,6 @@ def run_raw_video(
     video: RawVideo,
     segmenter_factory,
     classifier: Classifier,
-    cfg: QcConfig = QcConfig(),
     variants: Sequence[Variant] = (Variant.FULL,),
 ) -> dict[Variant, VideoTimeline]:
     """Standardize a raw video lazily, then run the pipeline for every variant in one pass.
@@ -106,4 +105,4 @@ def run_raw_video(
     frames, truths = normalize_video(video)
     gated = any(v is not Variant.NO_QC for v in variants)
     segmenter = segmenter_factory(frames, truths) if gated else None
-    return run_timeline(video.video_id, frames, segmenter, classifier, cfg, variants)
+    return run_timeline(video.video_id, frames, segmenter, classifier, variants=variants)

@@ -228,11 +228,7 @@ class ChromaSegmenter:
 COV_RIDGE = 4.0  # keeps the background model invertible on flat scenes
 
 
-def calibrate_chroma(
-    samples: Iterable[tuple[FrameGrid, StoneMask]],
-    min_component_px: int = 64,
-    subsample: int = 3,
-) -> ChromaSegmenter:
+def calibrate_chroma(samples: Iterable[tuple[FrameGrid, StoneMask]]) -> ChromaSegmenter:
     """Fit the background color model and pick tau from labeled stills.
 
     tau lands at the geometric midpoint (in squared-distance space)
@@ -242,8 +238,8 @@ def calibrate_chroma(
     bg_pixels = []
     stone_pixels = []
     for frame, mask in samples:
-        px = frame.pixels[::subsample, ::subsample].reshape(-1, 3)
-        bits = mask.bits[::subsample, ::subsample].reshape(-1)
+        px = frame.pixels[::3, ::3].reshape(-1, 3)  # every third row and column
+        bits = mask.bits[::3, ::3].reshape(-1)
         bg_pixels.append(px[~bits])
         stone_pixels.append(px[bits])
     bg = np.concatenate(bg_pixels).astype(np.float64)
@@ -252,8 +248,7 @@ def calibrate_chroma(
         raise NotCalibrated("not enough background pixels to calibrate")
     mean = bg.mean(axis=0)
     cov = np.cov(bg, rowvar=False) + COV_RIDGE * np.eye(3)
-    seg = ChromaSegmenter(background_mean=mean, background_cov=cov, tau=1.0,
-                          min_component_px=min_component_px)
+    seg = ChromaSegmenter(background_mean=mean, background_cov=cov, tau=1.0)
     d2_bg = seg.distances_sq(bg)
     hi_bg = float(np.quantile(d2_bg, 0.999))
     if stone.shape[0] >= 100:
@@ -263,5 +258,4 @@ def calibrate_chroma(
     else:
         tau_sq = hi_bg * 1.5
     tau = max(2.0, math.sqrt(tau_sq))
-    return ChromaSegmenter(background_mean=mean, background_cov=cov, tau=tau,
-                           min_component_px=min_component_px)
+    return ChromaSegmenter(background_mean=mean, background_cov=cov, tau=tau)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,16 +46,13 @@ class LazySequence(Sequence):
     def __iter__(self):  # Sequence's default would end early on an IndexError from make
         return map(self._make, range(self._n))
 
-    def __getitem__(self, k):
-        picked = range(self._n)[k]  # IndexError past either end; a slice picks a range
-        if isinstance(picked, range):
-            return LazySequence(len(picked), lambda i: self._make(picked[i]))
-        return self._make(picked)
+    def __getitem__(self, k: int):
+        return self._make(range(self._n)[operator.index(k)])  # IndexError past either end
 
 
 @dataclass(frozen=True, eq=False)
 class RawVideo:
-    """An ordered frame sequence prior to (or after) standardization.
+    """An ordered frame sequence at its native rate, before standardization.
 
     frames is a tuple of arrays, checked here, or a LazySequence whose
     maker checks them (load_stream's decodes a frame when it is accessed).
@@ -90,41 +88,22 @@ class RawVideo:
                     raise DimensionMismatch(f"truth mask {i} does not match its frame")
             object.__setattr__(self, "truth_masks", masks)
 
-    def __len__(self) -> int:
-        return len(self.frames)
 
+def stream_indices(video: RawVideo) -> list[int]:
+    """The native index of each 8 Hz stream frame, by nearest native timestamp.
 
-def resample_temporal(video: RawVideo, target_fps: float = STREAM_FPS) -> RawVideo:
-    """Resample to target_fps by nearest-native-timestamp frame selection.
-
-    Output frame k is the input frame whose timestamp is nearest to
-    k/target_fps; an exact midpoint resolves to the later frame. The
-    output spans the input duration within one output period. Exact
-    rational arithmetic keeps the selection float-free. The output's
-    frames and masks are lazy views: frame k reads the input when accessed.
+    Stream frame k takes the native frame whose timestamp is nearest to
+    k/8 s; an exact midpoint resolves to the later frame. The stream spans
+    the input duration within one stream period. Exact rational arithmetic
+    keeps the selection float-free.
     """
-    if target_fps <= 0:
-        raise ValidationError("target_fps must be positive")
     n = len(video.frames)
     if n == 0:
         raise EmptyVideo(f"video {video.video_id!r} has no frames")
-    native = Fraction(video.native_fps)
-    target = Fraction(target_fps)
+    ratio = Fraction(video.native_fps) / Fraction(STREAM_FPS)
     half = Fraction(1, 2)
-    count = max(1, int(n * target / native + half))
-    ratio = native / target
-    indices = [min(n - 1, int(k * ratio + half)) for k in range(count)]
-    frames = LazySequence(len(indices), lambda k: video.frames[indices[k]])
-    masks = None
-    if video.truth_masks is not None:
-        masks = LazySequence(len(indices), lambda k: video.truth_masks[indices[k]])
-    return RawVideo(
-        video_id=video.video_id,
-        native_fps=float(target_fps),
-        frames=frames,
-        truth_masks=masks,
-        truth_label=video.truth_label,
-    )
+    count = max(1, int(n / ratio + half))
+    return [min(n - 1, int(k * ratio + half)) for k in range(count)]
 
 
 def _center_crop_square(arr: np.ndarray) -> np.ndarray:
@@ -324,14 +303,24 @@ def store_stream(video: RawVideo, dir_path: Path) -> Path:
     return manifest_path
 
 
-def load_stream(manifest_path: Path, target_fps: Optional[float] = None) -> RawVideo:
-    """Load a video from its manifest (a manifest file or its directory).
+class Manifest(NamedTuple):
+    """A parsed manifest: per-frame file names, relative to the manifest's directory."""
 
-    Every frame and truth mask file gets every check short of decoding up
-    front: it exists, its header is valid, it is long enough and its
-    dimensions match. Frame k (and its mask) is decoded each time it is
-    accessed and never kept. With target_fps, return
-    resample_temporal(video, target_fps), so dropped frames are never decoded.
+    path: Path
+    video_id: str
+    native_fps: float
+    files: tuple[str, ...]
+    masks: tuple[Optional[str], ...]  # None: the frame has no truth mask
+    truth_label: Optional[MorphClass]
+
+
+def read_manifest(manifest_path: Path) -> Manifest:
+    """Parse and check a manifest (a manifest file or its directory) without opening frames.
+
+    Every error is a CorruptManifest naming the file: missing or mistyped
+    fields, a video_id that is not a file name, a frame entry that is not
+    an object with a string file (and string truth_mask / truth_label),
+    an unknown truth_label tag, or truth labels that disagree across frames.
     """
     path = Path(manifest_path)
     if path.is_dir():
@@ -340,7 +329,7 @@ def load_stream(manifest_path: Path, target_fps: Optional[float] = None) -> RawV
         raise CorruptManifest(f"manifest not found: {path}")
     try:
         manifest = json.loads(path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptManifest(f"{path}: {exc}") from None
     try:
         video_id = manifest["video_id"]
@@ -348,39 +337,61 @@ def load_stream(manifest_path: Path, target_fps: Optional[float] = None) -> RawV
         entries = manifest["frames"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptManifest(f"{path} is missing required fields ({exc})") from None
-    base = path.parent
-    shapes: list[tuple[int, ...]] = []
-    label: Optional[MorphClass] = None
+    # run names its outputs after video_id, so it must not reach out of their directory
+    if not isinstance(video_id, str) or Path(video_id).name != video_id:
+        raise CorruptManifest(f"{path}: video_id must be a file name, got {video_id!r}")
+    if not isinstance(entries, list):
+        raise CorruptManifest(f"{path}: frames must be a list")
+    masks, labels = [], set()
     for i, entry in enumerate(entries):
-        if "file" not in entry:
-            raise CorruptManifest(f"{path}: frame entry {i} lacks a file reference")
-        shapes.append(_pnm_shape(base / entry["file"], b"P6", 3))
+        if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
+            raise CorruptManifest(f"{path}: frame entry {i} is not an object with a string file")
+        mask, tag = entry.get("truth_mask"), entry.get("truth_label")
+        if not all(v is None or isinstance(v, str) for v in (mask, tag)):
+            raise CorruptManifest(f"{path}: frame entry {i} has a truth_mask or truth_label "
+                                  "that is not a string")
+        masks.append(mask or None)
+        if tag:
+            try:
+                labels.add(MorphClass.from_tag(tag))
+            except ValidationError as exc:
+                raise CorruptManifest(f"{path}: {exc}") from None
+    if len(labels) > 1:
+        raise CorruptManifest(f"{path}: inconsistent truth labels across frames")
+    return Manifest(path, video_id, native_fps, tuple(e["file"] for e in entries), tuple(masks),
+                    labels.pop() if labels else None)
+
+
+def load_stream(manifest_path: Path) -> RawVideo:
+    """Load a video from its manifest (a manifest file or its directory).
+
+    Every frame and truth mask file gets every check short of decoding up
+    front: it exists, its header is valid, it is long enough and its
+    dimensions match. Frame k (and its mask) is decoded each time it is
+    accessed and never kept, so a frame the 8 Hz stream drops is never decoded.
+    """
+    m = read_manifest(manifest_path)
+    base = m.path.parent
+    shapes: list[tuple[int, ...]] = []
+    for i, (name, mask) in enumerate(zip(m.files, m.masks)):
+        shapes.append(_pnm_shape(base / name, b"P6", 3))
         if shapes[-1] != shapes[0]:
             raise DimensionMismatch(
-                f"{path}: frame {i} has shape {shapes[-1][:2]}, expected {shapes[0][:2]}"
+                f"{m.path}: frame {i} has shape {shapes[-1][:2]}, expected {shapes[0][:2]}"
             )
-        mask = entry.get("truth_mask")
         if mask and _pnm_shape(base / mask, b"P5", 1) != shapes[-1][:2]:
             raise DimensionMismatch(f"truth mask {i} does not match its frame")
-        if entry.get("truth_label"):
-            entry_label = MorphClass.from_tag(entry["truth_label"])
-            if label is not None and entry_label is not label:
-                raise CorruptManifest(f"{path}: inconsistent truth labels across frames")
-            label = entry_label
-    has_masks = any(entry.get("truth_mask") for entry in entries)
 
     def read_mask(k: int) -> Optional[np.ndarray]:
-        name = entries[k].get("truth_mask")
-        return read_pgm(base / name) > 127 if name else None
+        return None if m.masks[k] is None else read_pgm(base / m.masks[k]) > 127
 
-    video = RawVideo(
-        video_id=video_id,
-        native_fps=native_fps,
-        frames=LazySequence(len(entries), lambda k: read_ppm(base / entries[k]["file"])),
-        truth_masks=LazySequence(len(entries), read_mask) if has_masks else None,
-        truth_label=label,
+    return RawVideo(
+        video_id=m.video_id,
+        native_fps=m.native_fps,
+        frames=LazySequence(len(m.files), lambda k: read_ppm(base / m.files[k])),
+        truth_masks=LazySequence(len(m.files), read_mask) if any(m.masks) else None,
+        truth_label=m.truth_label,
     )
-    return video if target_fps is None else resample_temporal(video, target_fps)
 
 
 def list_video_dirs(root: Path) -> list[Path]:
@@ -389,17 +400,18 @@ def list_video_dirs(root: Path) -> list[Path]:
 
 
 def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequence]]:
-    """Resample to 8 Hz and normalize the frames (and truth masks) to 256x256.
+    """The 8 Hz stream of a video: its frames (and truth masks) normalized to 256x256.
 
-    Both are lazy sequences: item k is decoded and normalized each time it
-    is accessed and never kept, so one pass holds one frame at a time.
+    Both are lazy sequences: stream item k reads native item
+    stream_indices(video)[k] and normalizes it each time it is accessed,
+    keeping nothing, so one pass holds one frame at a time.
     """
-    resampled = resample_temporal(video, STREAM_FPS)
+    native = stream_indices(video)
 
     def mask(k: int) -> Optional[StoneMask]:
-        m = resampled.truth_masks[k]
+        m = video.truth_masks[native[k]]
         return None if m is None else normalize_mask(m)
 
-    frames = LazySequence(len(resampled),
-                          lambda k: normalize_frame(resampled.frames[k], stream_index=k))
-    return frames, None if resampled.truth_masks is None else LazySequence(len(resampled), mask)
+    frames = LazySequence(len(native),
+                          lambda k: normalize_frame(video.frames[native[k]], stream_index=k))
+    return frames, None if video.truth_masks is None else LazySequence(len(native), mask)

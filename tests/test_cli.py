@@ -79,6 +79,16 @@ class TestPhantomCommand:
         assert "--per-class" in capsys.readouterr().err
         assert not (tmp_path / "none").exists()
 
+    @pytest.mark.parametrize("duration", ["inf", "nan", "-inf", "0"])
+    @pytest.mark.parametrize("profile", ["clean", "default", "adversarial"])
+    def test_duration_must_be_positive_and_finite(self, tmp_path, capsys, profile, duration):
+        code = main(["phantom", "--out", str(tmp_path / "p"), "--per-class", "1",
+                     "--profile", profile, f"--duration={duration}"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not list((tmp_path / "p").iterdir())
+
 
 class TestCohortSampleCount:
     """--per-video and --stills below 1 are usage errors, never a traceback or a dropped sample."""
@@ -294,6 +304,31 @@ class TestRunCommand:
                      "--model", str(workspace / "model.json")]) == 0
         assert len(decoded) == len(alive) == 32  # each grid frame decoded and segmented once
         assert max(alive) <= 1
+
+    @pytest.mark.parametrize("change", [
+        {"frames": [1]}, {"frames": 5}, {"frames": [{"file": 7}]},
+        {"frames": [{"file": "frame_000000.ppm", "truth_mask": 3}]},
+        {"frames": [{"file": "frame_000000.ppm", "truth_label": "Zz"}]},
+        {"frames": [{"file": "frame_000000.ppm", "truth_label": ["Ia"]}]},
+        {"video_id": "../escaped"},
+    ], ids=["int entry", "int frames", "int file", "int mask", "unknown tag", "list tag",
+            "id with a directory"])
+    def test_malformed_manifest_spares_the_rest(self, workspace, tmp_path, capsys, change):
+        import shutil
+
+        videos = one_video(workspace, tmp_path / "videos")
+        bad = videos / "bad" / "manifest.json"
+        shutil.copytree(videos / "Ia-clean-000", bad.parent)
+        edit_json(bad, bad, lambda p: p.update({"video_id": "bad", **change}))
+        code = main(["run", "--videos", str(videos), "--out", str(tmp_path / "o" / "out"),
+                     "--model", str(workspace / "model.json")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
+        name = "Ia-clean-000.json"
+        assert [p.name for p in (tmp_path / "o").rglob("*.json")] == [name]
+        assert (tmp_path / "o" / "out" / name).read_bytes() == (
+            workspace / "timelines" / name).read_bytes()
 
     @pytest.mark.parametrize("fps", [math.nan, math.inf])
     def test_non_finite_native_fps_is_data_error(self, workspace, tmp_path, capsys, fps):
@@ -640,6 +675,19 @@ class TestEvalCommand:
                      "--truth", str(bad.parent.parent), "--out", str(tmp_path / "o")])
         assert code == 2
         assert str(bad) in capsys.readouterr().err
+
+    def test_timelines_of_two_variants_are_a_data_error(self, workspace, tmp_path, capsys):
+        timelines = tmp_path / "tl"
+        timelines.mkdir()
+        for path in sorted((workspace / "timelines").glob("*.json")):
+            edit_json(path, timelines / path.name, lambda p: p.update(
+                variant="full" if path.name.startswith(("Ia-", "IIb-")) else "no-qc"))
+        code = main(["eval", "--timelines", str(timelines), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(timelines / "IIb-clean-000.json") in err
+        assert str(timelines / "IIIb-clean-000.json") in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_truth_directory_is_data_error(self, workspace, tmp_path, capsys):
         absent = tmp_path / "absent"

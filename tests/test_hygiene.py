@@ -24,7 +24,7 @@ def used_names(tree):
     """Every name the module reads, including inside quoted annotations."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -46,9 +46,53 @@ def unused_imports(source):
     return [(name, line) for name, line in imported_names(tree) if name not in used]
 
 
+def private_names(tree):
+    """Each name a module-level statement binds that starts with one underscore, with its line."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def unused_private_names(source):
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return [(name, line) for name, line in private_names(tree) if name not in used]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_module_names(path):
+    assert unused_private_names(path.read_text("utf-8")) == []
+
+
+def test_private_check_sees_unread_names():
+    source = (
+        "_LIMIT = 3\n"
+        "_unused: int = 4\n"
+        "__all__ = []\n"
+        "def _helper(x):\n"
+        "    return x * _LIMIT\n"
+        "def _left_behind():\n"
+        "    _local = 1\n"
+        "    return _local\n"
+        "class _Kept:\n"
+        "    pass\n"
+        "def public(k: '_Kept'):\n"
+        "    return _helper(k)\n"
+    )
+    assert unused_private_names(source) == [("_unused", 2), ("_left_behind", 6)]
 
 
 def test_check_sees_unused_and_quoted_names():

@@ -32,8 +32,8 @@ from lithovid.video_io import (
     normalize_video,
     read_pgm,
     read_ppm,
-    resample_temporal,
     store_stream,
+    stream_indices,
     write_pgm,
     write_ppm,
 )
@@ -70,10 +70,12 @@ class TestLazySequence:
         made = []
         seq = LazySequence(5, lambda k: made.append(k) or k * k)
         assert len(seq) == 5 and list(seq) == [0, 1, 4, 9, 16]
-        assert seq[-1] == 16 and list(seq[1:4]) == [1, 4, 9] and list(seq[::-2]) == [16, 4, 0]
-        assert made == [0, 1, 2, 3, 4, 4, 1, 2, 3, 4, 2, 0]
+        assert seq[-1] == 16
+        assert made == [0, 1, 2, 3, 4, 4]
         with pytest.raises(IndexError):
             seq[5]
+        with pytest.raises(TypeError):
+            seq[1:3]
 
     def test_index_error_inside_make_is_not_the_end(self):
         def make(k):
@@ -86,26 +88,21 @@ class TestLazySequence:
 
 
 class TestResample:
+    """stream_indices: the native frame behind each 8 Hz stream frame."""
+
     def test_24fps_3s_gives_24_frames(self):
-        out = resample_temporal(gradient_video(72, 24.0))
-        assert len(out.frames) == 24
         # integer ratio selects every 3rd source frame
-        assert [f[0, 0, 0] for f in out.frames] == [3 * k for k in range(24)]
+        assert stream_indices(gradient_video(72, 24.0)) == [3 * k for k in range(24)]
 
     def test_8fps_identity(self):
-        v = gradient_video(40, 8.0)
-        out = resample_temporal(v)
-        assert len(out.frames) == 40
-        assert all(np.array_equal(a, b) for a, b in zip(v.frames, out.frames))
+        assert stream_indices(gradient_video(40, 8.0)) == list(range(40))
 
     def test_30fps_30frames_selects_expected_indices(self):
-        out = resample_temporal(gradient_video(30, 30.0))
-        picked = [f[0, 0, 0] for f in out.frames]
-        assert picked == [0, 4, 8, 11, 15, 19, 23, 26]
+        assert stream_indices(gradient_video(30, 30.0)) == [0, 4, 8, 11, 15, 19, 23, 26]
 
     def test_empty_video_raises(self):
         with pytest.raises(EmptyVideo):
-            resample_temporal(RawVideo(video_id="e", native_fps=10.0, frames=()))
+            stream_indices(RawVideo(video_id="e", native_fps=10.0, frames=()))
 
     @pytest.mark.parametrize("fps", [0.0, -8.0, float("nan"), float("inf"), float("-inf")])
     def test_rejects_native_fps_outside_positive_finite(self, fps):
@@ -113,18 +110,20 @@ class TestResample:
             gradient_video(4, fps)
 
     def test_idempotent_at_8hz(self):
-        v = resample_temporal(gradient_video(50, 25.0))
-        again = resample_temporal(v)
-        assert len(again.frames) == len(v.frames)
-        assert all(np.array_equal(a, b) for a, b in zip(v.frames, again.frames))
+        v = gradient_video(50, 25.0)
+        once = stream_indices(v)
+        stream = RawVideo(video_id="s", native_fps=STREAM_FPS,
+                          frames=tuple(v.frames[i] for i in once))
+        assert stream_indices(stream) == list(range(len(once)))
 
     def test_truth_masks_follow_selected_frames(self):
         frames = tuple(np.full((20, 20, 3), i, dtype=np.uint8) for i in range(30))
         masks = tuple(np.full((20, 20), i % 2 == 0, dtype=bool) for i in range(30))
         v = RawVideo(video_id="m", native_fps=30.0, frames=frames, truth_masks=masks)
-        out = resample_temporal(v)
-        for frame, mask in zip(out.frames, out.truth_masks):
-            assert mask[0, 0] == (frame[0, 0, 0] % 2 == 0)
+        out_frames, out_masks = normalize_video(v)
+        assert len(out_frames) == len(out_masks) == 8
+        for frame, mask in zip(out_frames, out_masks):
+            assert np.all(mask.bits == (frame.pixels[0, 0, 0] % 2 == 0))
 
     @given(
         n=st.integers(min_value=1, max_value=48),
@@ -132,15 +131,13 @@ class TestResample:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_oracle(self, n, fps):
-        v = gradient_video(n, fps, h=16, w=16)
-        out = resample_temporal(v)
-        picked = [int(f[0, 0, 0]) for f in out.frames]
-        assert picked == brute_force_indices(n, fps, 8.0, len(out.frames))
+        picked = stream_indices(gradient_video(n, fps, h=16, w=16))
+        assert picked == brute_force_indices(n, fps, 8.0, len(picked))
         # output count stays within one frame of floor(duration*8)+1
         expected = int(n / fps * 8) + 1
-        assert abs(len(out.frames) - expected) <= 1
+        assert abs(len(picked) - expected) <= 1
         # output duration within one output period of input duration
-        assert abs(len(out.frames) / 8.0 - n / fps) <= 1 / 8.0 + 1e-9
+        assert abs(len(picked) / 8.0 - n / fps) <= 1 / 8.0 + 1e-9
 
 
 class TestNormalizeFrame:
@@ -363,25 +360,22 @@ def store_random_video(dir_path, n, fps, h=24, w=32, seed=0):
 
 
 class TestGridOnlyLoad:
-    """load_stream(d, STREAM_FPS) decodes only the frames resampling keeps."""
+    """normalize_video(load_stream(d)) decodes only the frames on the 8 Hz grid."""
 
     @pytest.mark.parametrize("n, fps", [(30, 30.0), (31, 25.0), (7, 4.0), (16, 8.0)])
     def test_same_stream_as_full_read(self, tmp_path, n, fps):
         d = store_random_video(tmp_path / "v", n, fps)
-        full = load_stream(d)
-        grid = load_stream(d, STREAM_FPS)
-        assert grid.native_fps == STREAM_FPS
-        assert grid.video_id == full.video_id
-        assert grid.truth_label is full.truth_label
-        want_frames, want_masks = normalize_video(full)
-        got_frames, got_masks = normalize_video(grid)
-        assert len(got_frames) == len(want_frames)
-        for a, b in zip(got_frames, want_frames):
-            assert a.stream_index == b.stream_index
-            assert np.array_equal(a.pixels, b.pixels)
-        assert len(got_masks) == len(want_masks)
-        for a, b in zip(got_masks, want_masks):
-            assert np.array_equal(a.bits, b.bits)
+        video = load_stream(d)
+        assert (video.video_id, video.native_fps, video.truth_label) == ("r", fps, MorphClass.IIB)
+        native = [read_ppm(d / f"frame_{i:06d}.ppm") for i in range(n)]
+        native_masks = [read_pgm(d / f"mask_{i:06d}.pgm") > 127 for i in range(n)]
+        grid = brute_force_indices(n, fps, STREAM_FPS, len(stream_indices(video)))
+        got_frames, got_masks = normalize_video(video)
+        assert len(got_frames) == len(got_masks) == len(grid)
+        for k, (frame, mask, i) in enumerate(zip(got_frames, got_masks, grid)):
+            assert frame.stream_index == k
+            assert np.array_equal(frame.pixels, normalize_frame(native[i]).pixels)
+            assert np.array_equal(mask.bits, normalize_mask(native_masks[i]).bits)
 
     def test_decodes_only_grid_frames(self, tmp_path, monkeypatch):
         d = store_random_video(tmp_path / "v", 30, 30.0)
@@ -396,9 +390,9 @@ class TestGridOnlyLoad:
 
         monkeypatch.setattr(video_io, "read_ppm", counting(read_ppm_orig))
         monkeypatch.setattr(video_io, "read_pgm", counting(read_pgm_orig))
-        video = load_stream(d, STREAM_FPS)
+        frames, masks = normalize_video(load_stream(d))
         assert decoded == []  # decoding waits until a frame is accessed
-        for _ in zip(video.frames, video.truth_masks):
+        for _ in zip(frames, masks):
             pass
         grid = [0, 4, 8, 11, 15, 19, 23, 26]
         assert decoded == [name for i in grid
@@ -412,19 +406,18 @@ class TestGridOnlyLoad:
             if i != 1:
                 del entry["truth_mask"]
         manifest_path.write_text(json.dumps(manifest), "utf-8")
-        full = resample_temporal(load_stream(d), STREAM_FPS)
-        grid = load_stream(d, STREAM_FPS)
-        assert tuple(full.truth_masks) == tuple(grid.truth_masks) == (None,) * 8
+        _, masks = normalize_video(load_stream(d))
+        assert tuple(masks) == (None,) * 8
 
     def test_long_header_comment_off_the_grid(self, tmp_path):
         d = store_random_video(tmp_path / "v", 30, 30.0)
         path = d / "frame_000001.ppm"
         data = path.read_bytes()
         path.write_bytes(b"P6\n#" + b"x" * 5000 + b"\n" + data[3:])
-        assert len(load_stream(d, STREAM_FPS)) == 8
+        assert len(normalize_video(load_stream(d))[0]) == 8
         path.write_bytes(b"P6\n#" + b"x" * 5000 + b"\n" + data[3:-1])
         with pytest.raises(CorruptManifest, match="truncated"):
-            load_stream(d, STREAM_FPS)
+            load_stream(d)
 
     @pytest.mark.parametrize("damage, error", [
         ("missing", MissingFrame),
@@ -453,8 +446,5 @@ class TestGridOnlyLoad:
             write_pgm(mask, np.zeros((24, 31), bool))
         else:
             mask.write_bytes(mask.read_bytes()[:-1])
-        with pytest.raises(error) as full:
-            normalize_video(load_stream(d))
-        with pytest.raises(error) as grid:
-            load_stream(d, STREAM_FPS)
-        assert str(grid.value) == str(full.value)
+        with pytest.raises(error):
+            load_stream(d)  # at load, though the 8 Hz stream never decodes this frame
