@@ -54,12 +54,28 @@ def _check_shapes(frame: FrameGrid, mask: StoneMask) -> None:
         )
 
 
+def _gradient_bins(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """min(floor(hypot(gx, gy) / GRAD_BIN_WIDTH), GRAD_BINS - 1) as uint8; see features."""
+    q = np.sqrt(gx * gx + gy * gy) / GRAD_BIN_WIDTH
+    off = np.rint(q)
+    off -= q
+    near = (np.abs(off, out=off) < 1e-6) & (q > 0.5)  # q >= 0 never straddles edge 0
+    q[near] = np.hypot(gx[near], gy[near]) / GRAD_BIN_WIDTH
+    return np.minimum(q, GRAD_BINS - 1, out=q).astype(np.uint8)
+
+
 def features(frame: FrameGrid, mask: StoneMask) -> np.ndarray:
     """L1-normalized color + gradient histogram over the stone pixels only.
 
     Computed as on a frame whose pixels outside the mask are zeroed, so
     nothing outside the mask can leak into the feature vector: gradients
     at the stone border see zeros, never the actual background.
+    Both bins are exact. The color bin (r>>5)*64 + (g>>5)*8 + (b>>5) is
+    built with shifts on the box. The gradient bin takes q = sqrt(gx*gx +
+    gy*gy) / 10 for hypot(gx, gy) / 10: both are within a few ulps of the
+    true value and q < 37 (|g| <= 255 * sqrt(2)), so they differ by under
+    1e-13 and can floor differently only that close to a bin edge; where
+    q is within 1e-6 of one, hypot is recomputed.
     """
     if mask.empty:
         raise EmptyMask("cannot featurize an empty mask")
@@ -72,23 +88,22 @@ def features(frame: FrameGrid, mask: StoneMask) -> np.ndarray:
     cols = np.flatnonzero(mask.bits.any(axis=0))
     box = np.s_[max(rows[0] - 1, 0) : rows[-1] + 2, max(cols[0] - 1, 0) : cols[-1] + 2]
     bits = mask.bits[box]
-    pixels = frame.pixels[box]
-    px = pixels[bits]
-    idx = (
-        (px[:, 0] >> 5).astype(np.intp) * (RGB_BINS * RGB_BINS)
-        + (px[:, 1] >> 5).astype(np.intp) * RGB_BINS
-        + (px[:, 2] >> 5).astype(np.intp)
-    )
-    color_hist = np.bincount(idx, minlength=RGB_BINS**3).astype(np.float64)
+    keep = ... if mask.count == bits.size else bits  # a full box needs no gather
+    r, g, b = (frame.pixels[box][..., c] for c in range(3))
+    idx = (r >> 5).astype(np.uint16)
+    for channel in (g, b):
+        idx <<= 3  # log2(RGB_BINS)
+        idx |= channel >> 5
+    color_hist = np.bincount(idx[keep].ravel(), minlength=RGB_BINS**3)
 
-    luma = 0.299 * pixels[..., 0] + 0.587 * pixels[..., 1] + 0.114 * pixels[..., 2]
+    luma = 0.299 * r  # 0.299 * r + 0.587 * g + 0.114 * b, in that order
+    luma += 0.587 * g
+    luma += 0.114 * b
     luma[~bits] = 0.0  # the luma of a zeroed pixel
     gy, gx = np.gradient(luma)
-    mag = np.hypot(gx, gy)[bits]
-    g_idx = np.minimum((mag / GRAD_BIN_WIDTH).astype(np.intp), GRAD_BINS - 1)
-    grad_hist = np.bincount(g_idx, minlength=GRAD_BINS).astype(np.float64)
+    grad_hist = np.bincount(_gradient_bins(gx, gy)[keep].ravel(), minlength=GRAD_BINS)
 
-    vec = np.concatenate([color_hist, grad_hist])
+    vec = np.concatenate([color_hist, grad_hist]).astype(np.float64)
     return vec / vec.sum()
 
 

@@ -24,7 +24,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy import ndimage
@@ -39,6 +39,7 @@ from .classify import (
 from .core import CANONICAL_ORDER, FRAME_SIDE, FrameGrid, MorphClass, StoneMask
 from .core import VideoTimeline
 from .errors import (
+    CorruptManifest,
     DimensionMismatch,
     LithovidError,
     NoTruthAvailable,
@@ -233,6 +234,15 @@ def _run_one_video(video_dir: Path, out_dir: Path, variant: Variant, qc: QcConfi
                      lambda tmp: tmp.write_text(payload, "utf-8"))
 
 
+def _require_unique_ids(entries: Iterable[tuple[str, Path]]) -> None:
+    """entries are (video_id, where it was read); an id read twice is a data error naming both."""
+    seen: dict[str, Path] = {}
+    for video_id, where in entries:
+        if video_id in seen:
+            raise LithovidError(f"video_id {video_id!r} is in both {seen[video_id]} and {where}")
+        seen[video_id] = where
+
+
 def _run_isolated(video_dir: Path, **job) -> Optional[str]:
     """_run_one_video; a data error comes back as its message, so the cohort goes on."""
     try:
@@ -324,6 +334,13 @@ def cmd_run(args) -> int:
     video_dirs = list_video_dirs(videos_root)
     if not video_dirs:
         raise LithovidError(f"no videos (no {MANIFEST_NAME}) under {videos_root}")
+    readable = []  # timelines are named after video_id, so no two videos may share one
+    for video_dir in video_dirs:
+        try:
+            readable.append((read_manifest(video_dir).video_id, video_dir))
+        except CorruptManifest:
+            pass  # that video's own job reports it
+    _require_unique_ids(readable)
 
     # built once for every video, and checked before --out exists
     chroma = ChromaSegmenter.load(Path(args.calibration)) if args.segmenter == "chroma" else None
@@ -363,7 +380,8 @@ def _truth_lookup(truth_root: Optional[str]) -> dict[str, MorphClass]:
         return {}
     if not Path(truth_root).is_dir():
         raise LithovidError(f"truth directory not found: {truth_root}")
-    manifests = (read_manifest(d) for d in list_video_dirs(Path(truth_root)))
+    manifests = [read_manifest(d) for d in list_video_dirs(Path(truth_root))]
+    _require_unique_ids((m.video_id, m.path) for m in manifests)
     return {m.video_id: m.truth_label for m in manifests if m.truth_label is not None}
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lithovid.classify import (
     CentroidModel,
     ScoreTable,
+    _gradient_bins,
     features,
     import_scores,
     softmin_scores,
@@ -28,7 +29,8 @@ from lithovid.errors import (
     UnknownClass,
     ValidationError,
 )
-from lithovid.phantom import make_still, training_stills
+from lithovid.phantom import adversarial_spec, make_still, render_frame, training_stills
+from lithovid.pipeline import FULL_FRAME_MASK
 
 from conftest import write_score_csv
 
@@ -120,6 +122,46 @@ def edge_masks():
         yield f"random {i}", bits
 
 
+def ulps_from(x, n):
+    """The float n representable steps above (n > 0) or below (n < 0) x."""
+    x = float(x)
+    for _ in range(abs(n)):
+        x = np.nextafter(x, math.inf if n > 0 else 0.0)
+    return x
+
+
+def edge_step_frame(row, horizontal, vertical):
+    """A black frame with luma steps around pixel (row, 128).
+
+    horizontal is (right, left) and vertical (down, up) neighbour colours;
+    on row 0 the up colour is the pixel itself (a one-sided difference).
+    """
+    px = np.zeros((256, 256, 3), dtype=np.uint8)
+    (right, left), (down, up) = horizontal, vertical
+    px[row, 129], px[row, 127], px[row + 1, 128], px[max(row - 1, 0), 128] = right, left, down, up
+    return FrameGrid(px)
+
+
+BLACK = (0, 0, 0)
+# Steps that put |g| = hypot(gx, gy) at pixel (row, 128) on 10 * k, the
+# lower edge of gradient bin k, or n ulps from it; the last column says
+# whether sqrt(gx*gx + gy*gy) / 10 floors to another bin than |g| / 10.
+EDGE_STEPS = [  # k, n, row, (right, left), (down, up), floors apart
+    (1, 0, 128, (BLACK, BLACK), ((2, 8, 129), BLACK), False),
+    (1, 0, 128, ((1, 11, 46), BLACK), ((1, 25, 9), BLACK), False),
+    (1, -1, 128, (BLACK, BLACK), ((22, 22, 22), (2, 2, 2)), False),
+    (1, 1, 128, ((62, 28, 9), (9, 33, 17)), ((1, 25, 9), BLACK), False),
+    (2, 0, 128, (BLACK, BLACK), ((0, 26, 217), BLACK), False),
+    (2, 0, 128, ((2, 22, 92), BLACK), ((2, 50, 18), BLACK), False),
+    (2, -1, 128, (BLACK, BLACK), ((14, 48, 67), BLACK), False),
+    (2, 1, 128, (BLACK, BLACK), ((54, 44, 9), (3, 3, 3)), False),
+    (15, 0, 128, ((123, 237, 36), BLACK), ((238, 252, 201), (2, 2, 2)), False),
+    (15, -1, 128, ((60, 252, 124), BLACK), ((238, 252, 201), (2, 2, 2)), False),
+    (15, 1, 128, ((123, 237, 36), BLACK), ((231, 255, 239), (6, 6, 6)), False),
+    (15, -1, 0, ((242, 202, 62), (132, 126, 5)), ((16, 236, 6), BLACK), True),
+]
+
+
 class TestFeaturesExact:
     @pytest.mark.parametrize("name, bits", list(edge_masks()), ids=lambda v: v if isinstance(v, str) else "")
     def test_matches_masked_full_frame(self, name, bits):
@@ -136,6 +178,82 @@ class TestFeaturesExact:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             features(rand_frame(), StoneMask(np.ones((16, 16), dtype=bool)))
+
+    def test_full_frame_and_stone_masks_on_adversarial_frames(self):
+        cases = [(rand_frame(seed), FULL_FRAME_MASK) for seed in range(4)]
+        for label in CANONICAL_ORDER:
+            spec = adversarial_spec(70 + label.rank, label, 6.0)
+            for index in (0, 9, 20, 30, 40):
+                pixels, truth = render_frame(spec, index)
+                cases.append((FrameGrid(pixels), FULL_FRAME_MASK))
+                if truth.any():
+                    cases.append((FrameGrid(pixels), StoneMask(truth)))
+        assert sum(mask is not FULL_FRAME_MASK for _, mask in cases) >= 10
+        for frame, mask in cases:
+            assert np.array_equal(features(frame, mask), reference_features(frame, mask))
+
+    @pytest.mark.parametrize("k, n, row, horizontal, vertical, floors_apart", EDGE_STEPS)
+    def test_gradient_on_a_bin_edge(self, monkeypatch, k, n, row, horizontal, vertical,
+                                    floors_apart):
+        frame = edge_step_frame(row, horizontal, vertical)
+        rgb = frame.pixels.astype(np.float64)  # the gradient reference_features takes
+        gy, gx = np.gradient(0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2])
+        at = gx[row, 128], gy[row, 128]
+        assert np.hypot(*at) == ulps_from(10 * k, n)
+        assert math.floor(np.hypot(*at) / 10) == k - (n < 0)
+        plain = math.floor(np.sqrt(at[0] * at[0] + at[1] * at[1]) / 10)
+        assert (plain != k - (n < 0)) is floors_apart
+        bits = np.zeros((256, 256), dtype=bool)
+        bits[max(row - 1, 0) : row + 2, 127:130] = True
+        hypot = np.hypot
+        for mask in (FULL_FRAME_MASK, StoneMask(bits)):
+            expected = reference_features(frame, mask)
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "hypot", lambda x, y: calls.append((x, y)) or hypot(x, y))
+                assert np.array_equal(features(frame, mask), expected)
+            # the pixel's magnitude was recomputed by the hypot fallback
+            assert any(((x == at[0]) & (y == at[1])).any() for x, y in calls)
+
+    @pytest.mark.parametrize("k", [1, 2, 15])
+    def test_gradient_bins_one_ulp_from_each_edge(self, k):
+        for n in (-1, 0, 1):
+            g = np.full(3, ulps_from(10 * k, n))
+            zero = np.zeros_like(g)
+            for gx, gy in ((zero, g), (g, zero), (-g, zero), (zero, -g)):
+                assert np.all(_gradient_bins(gx, gy) == k - (n < 0))
+
+    def test_gradient_bins_brute_force(self):
+        rng = np.random.Generator(np.random.Philox(key=[37, 10]))
+        uniform = rng.uniform(-255.0, 255.0, (2, 1_000_000))
+        # |g| = 10k at random angles, each component then moved by up to 4 ulps
+        radius = 10.0 * rng.integers(1, 17, 400_000)
+        theta = rng.uniform(0.0, 2 * np.pi, radius.size)
+        edge = np.stack([radius * np.cos(theta), radius * np.sin(theta)])
+        edge += rng.integers(-4, 5, edge.shape) * np.spacing(edge)
+        triples = np.array([(6, 8), (8, 6), (12, 16), (90, 120), (42, 144), (0, 150)], float).T
+        steps = np.arange(-4, 5)[:, None] * np.spacing(triples[:, None, :])
+        exact = (triples[:, None, :] + steps).reshape(2, -1)
+        gx, gy = np.concatenate([uniform, edge, exact], axis=1)
+        expected = np.minimum((np.hypot(gx, gy) / 10).astype(np.intp), 15)
+        assert np.array_equal(_gradient_bins(gx, gy), expected)
+        # the fallback is needed: sqrt of the sum alone floors some edge pairs differently
+        plain = np.minimum((np.sqrt(gx * gx + gy * gy) / 10).astype(np.intp), 15)
+        assert np.count_nonzero(plain != expected) > 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0),
+           box=st.tuples(*[st.integers(0, 255)] * 4))
+    def test_random_frames_and_masks(self, seed, density, box):
+        rng = np.random.Generator(np.random.Philox(key=[seed, 3]))
+        frame = FrameGrid(rng.integers(0, 256, size=(256, 256, 3), dtype=np.uint8))
+        y0, y1, x0, x1 = box
+        bits = np.zeros((256, 256), dtype=bool)
+        bits[min(y0, y1) : max(y0, y1) + 1, min(x0, x1) : max(x0, x1) + 1] = True
+        bits &= rng.random((256, 256)) <= density
+        bits[y0, x0] = True
+        mask = StoneMask(bits)
+        assert np.array_equal(features(frame, mask), reference_features(frame, mask))
 
 
 class TestSoftmin:

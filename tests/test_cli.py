@@ -266,6 +266,28 @@ class TestRunCommand:
         for name in written:  # the same bytes as a run of the intact cohort
             assert (out / name).read_bytes() == (workspace / "timelines" / name).read_bytes()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_duplicate_video_id_is_data_error(self, workspace, tmp_path, capsys, monkeypatch,
+                                              workers):
+        import shutil
+
+        videos = tmp_path / "cohort"
+        shutil.copytree(workspace / "cohort", videos)
+        first, second = videos / "Ia-clean-000", videos / "IIb-clean-000"
+        edit_json(second / "manifest.json", second / "manifest.json",
+                  lambda p: p.update(video_id="Ia-clean-000"))
+        monkeypatch.setenv("LITHO_WORKERS", workers)
+        out = tmp_path / "out"
+        code = main(["run", "--videos", str(videos), "--out", str(out),
+                     "--model", str(workspace / "model.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(first) in err[0] and str(second) in err[0] and "Ia-clean-000" in err[0]
+        assert not out.exists()
+
     def test_run_holds_one_native_frame_at_a_time(self, workspace, tmp_path, monkeypatch):
         import weakref
 
@@ -675,6 +697,24 @@ class TestEvalCommand:
                      "--truth", str(bad.parent.parent), "--out", str(tmp_path / "o")])
         assert code == 2
         assert str(bad) in capsys.readouterr().err
+
+    def test_duplicate_truth_video_id_is_data_error(self, workspace, tmp_path, capsys):
+        import shutil
+
+        truth = tmp_path / "truth"
+        for manifest in sorted((workspace / "cohort").glob("*/manifest.json")):
+            (truth / manifest.parent.name).mkdir(parents=True)
+            shutil.copy(manifest, truth / manifest.parent.name / "manifest.json")
+        (truth / "Ia-copy").mkdir()
+        relabelled = edit_json(  # the same id with another label; it used to win in silence
+            truth / "Ia-clean-000" / "manifest.json", truth / "Ia-copy" / "manifest.json",
+            lambda p: [f.update(truth_label="IIb") for f in p["frames"]])
+        code = main(["eval", "--timelines", str(workspace / "timelines"),
+                     "--truth", str(truth), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(truth / "Ia-clean-000" / "manifest.json") in err and str(relabelled) in err
+        assert not (tmp_path / "o").exists()
 
     def test_timelines_of_two_variants_are_a_data_error(self, workspace, tmp_path, capsys):
         timelines = tmp_path / "tl"
