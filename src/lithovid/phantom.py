@@ -78,6 +78,12 @@ class Palette:
     ripple: float = 0.0
     speckle: float = 0.0
 
+    def __post_init__(self) -> None:
+        if len(self.base) != 3:
+            raise ValidationError(f"palette base needs 3 channels, got {len(self.base)}")
+        if not all(math.isfinite(v) for v in (*self.base, self.ripple, self.speckle)):
+            raise ValidationError(f"palette values must be finite, got {self}")
+
 
 BACKGROUND_PALETTE = Palette(base=(150.0, 62.0, 72.0), ripple=0.10, speckle=0.02)
 PURE_PALETTES = {
@@ -184,30 +190,32 @@ class PhantomSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "PhantomSpec":
-        payload = json.loads(text)
-
         def palette(d: Optional[dict]) -> Optional[Palette]:
             if d is None:
                 return None
             return Palette(base=tuple(d["base"]), ripple=d["ripple"], speckle=d["speckle"])
 
-        return cls(
-            seed=int(payload["seed"]),
-            label=MorphClass.from_tag(payload["label"]),
-            duration_s=float(payload["duration_s"]),
-            events=tuple(
-                EventScript(
-                    kind=EventKind(e["kind"]),
-                    t_start=e["t_start"],
-                    t_end=e["t_end"],
-                    intensity=e["intensity"],
-                )
-                for e in payload["events"]
-            ),
-            background=palette(payload["background"]),
-            shell=palette(payload["shell"]),
-            core=palette(payload["core"]),
-        )
+        try:
+            payload = json.loads(text)
+            return cls(
+                seed=int(payload["seed"]),
+                label=MorphClass.from_tag(payload["label"]),
+                duration_s=float(payload["duration_s"]),
+                events=tuple(
+                    EventScript(
+                        kind=EventKind(e["kind"]),
+                        t_start=e["t_start"],
+                        t_end=e["t_end"],
+                        intensity=e["intensity"],
+                    )
+                    for e in payload["events"]
+                ),
+                background=palette(payload["background"]),
+                shell=palette(payload["shell"]),
+                core=palette(payload["core"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidSpec(f"malformed phantom spec: {exc!r}") from None
 
 
 # -- per-video derived geometry ------------------------------------------------
@@ -274,8 +282,10 @@ def _geometry_for_seed(seed: int) -> _Geometry:
 _XS = np.arange(SIDE, dtype=np.float32)
 _YS = np.arange(SIDE, dtype=np.float32)
 _GY, _GX = np.mgrid[0:SIDE, 0:SIDE].astype(np.float32)
-_R2 = ((_GX - (SIDE - 1) / 2) ** 2 + (_GY - (SIDE - 1) / 2) ** 2) / ((SIDE / 2) ** 2)
-_VIGNETTE = (1.0 - 0.16 * np.clip(_R2, 0.0, 1.0)).astype(np.float32)
+# radial falloff, one copy per channel so the per-frame multiply stays contiguous
+_VIGNETTE = np.repeat((1.0 - 0.16 * np.clip(
+    ((_GX - (SIDE - 1) / 2) ** 2 + (_GY - (SIDE - 1) / 2) ** 2) / ((SIDE / 2) ** 2), 0.0, 1.0
+)).astype(np.float32)[..., None], 3, 2)
 
 
 def _core_fraction(geom: _Geometry, t: float) -> float:
@@ -299,30 +309,58 @@ def _drift(geom: _Geometry, t: float) -> tuple[float, float]:
     return dx, dy
 
 
+@lru_cache(maxsize=64)
+def _background_phase(seed: int) -> tuple[np.float64, ...]:
+    # numpy float64 scalars: adding one promotes the float32 grids to float64
+    return tuple(stream(seed, "background").uniform(0, 2 * math.pi, size=4))
+
+
 def _background(spec: PhantomSpec, index: int, shift: tuple[float, float]) -> np.ndarray:
     pal = spec.background
-    phase = stream(spec.seed, "background").uniform(0, 2 * math.pi, size=4)
+    phase = _background_phase(spec.seed)
     t = index / STREAM_FPS
     col = np.sin(2 * math.pi * (_XS - shift[0]) / 97.0 + phase[0])
     row = np.sin(2 * math.pi * (_YS - shift[1]) / 83.0 + phase[1] + 0.25 * math.sin(
         2 * math.pi * t / 11.0 + phase[2]))
-    shading = (1.0 + pal.ripple * np.outer(row, col)).astype(np.float32)
+    shading = np.outer(row, col)
+    shading *= pal.ripple
+    shading += 1.0
+    shading = shading.astype(np.float32)
     noise = stream(spec.seed, "bg-noise", frame=index).normal(0.0, 2.5, size=(SIDE, SIDE))
-    shading += noise.astype(np.float32) / np.float32(np.mean(pal.base))
+    noise = noise.astype(np.float32)
+    noise /= np.float32(np.mean(pal.base))
+    shading += noise
     img = np.empty((SIDE, SIDE, 3), dtype=np.float32)
     for c in range(3):
         np.multiply(shading, np.float32(pal.base[c]), out=img[..., c])
     return img
 
 
-def _texture(pal: Palette, xl: np.ndarray, yl: np.ndarray, grain: np.ndarray) -> np.ndarray:
-    """Surface color for local stone coordinates (moves rigidly with it)."""
+def _paint_stone(img: np.ndarray, spec: PhantomSpec, index: int, center: tuple[float, float],
+                 stone_bits: np.ndarray, is_core: np.ndarray) -> None:
+    """Texture the stone on its bounding box; the surface moves rigidly with it."""
+    rows = np.flatnonzero(stone_bits.any(axis=1))
+    cols = np.flatnonzero(stone_bits.any(axis=0))
+    y0, y1, x0, x1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    box = np.s_[y0:y1, x0:x1]
+    # uniform draws are prefix-stable and one Philox step yields 4 doubles,
+    # so skipping y0 rows of steps leaves rows y0: of the full-frame field
+    rng = stream(spec.seed, "grain", frame=index)
+    rng.bit_generator.advance(y0 * SIDE // 4)
+    grain = rng.uniform(-1.0, 1.0, size=(y1 - y0, SIDE))[:, x0:x1].astype(np.float32)
+    xl = _GX[box] - center[0]
+    yl = _GY[box] - center[1]
     ripple = (
         np.cos(2 * math.pi * (0.9 * xl + 0.45 * yl) / 46.0)
         * np.cos(2 * math.pi * (0.5 * xl - 0.8 * yl) / 37.0)
     )
-    shade = (1.0 + pal.ripple * ripple + pal.speckle * grain).astype(np.float32)
-    return shade[..., None] * np.asarray(pal.base, dtype=np.float32)[None, :]
+    core = is_core[box]
+    for pal, sel in ((spec.shell, stone_bits[box] & ~core), (spec.core, core)):
+        if pal is None or not sel.any():
+            continue
+        shade = 1.0 + pal.ripple * ripple + pal.speckle * grain
+        for c in range(3):
+            np.copyto(img[y0:y1, x0:x1, c], shade * np.float32(pal.base[c]), where=sel)
 
 
 @dataclass(frozen=True)
@@ -510,7 +548,8 @@ def _apply_glare(img: np.ndarray, spec: PhantomSpec, index: int, ev: EventScript
         py = by + 10.0 * math.cos(2 * math.pi * t / 5.3 + rng.uniform(0, 6.28))
         d2 = (_GX - px) ** 2 + (_GY - py) ** 2
         halo = np.float32(255.0 * ev.intensity) * np.exp(-d2 / np.float32(2 * radius * radius))
-        img += halo[..., None]
+        for c in range(3):
+            img[..., c] += halo
 
 
 def render_frame(
@@ -543,27 +582,16 @@ def render_frame(
         dx, dy = _drift(geom, t)
         center = ((SIDE - 1) / 2 + dx + shift[0], (SIDE - 1) / 2 + dy + shift[1])
         state = _stone_state(spec, geom, index, center)
-        grain = None
+        is_core = np.zeros((SIDE, SIDE), dtype=bool)
         for frag, core in zip(state.masks, state.cores):
-            if not frag.any():
-                continue
+            # a later fragment paints over an earlier one, core and shell alike
             stone_bits |= frag
-            if stone_sentinel is not None:
-                img[frag] = np.asarray(stone_sentinel, dtype=np.float32)
-                continue
-            if grain is None:
-                grain = stream(spec.seed, "grain", frame=index).uniform(
-                    -1.0, 1.0, size=(SIDE, SIDE)
-                ).astype(np.float32)
-            shell_part = frag & ~core
-            if shell_part.any():
-                xl = _GX[shell_part] - center[0]
-                yl = _GY[shell_part] - center[1]
-                img[shell_part] = _texture(spec.shell, xl, yl, grain[shell_part])
-            if core.any():
-                xl = _GX[core] - center[0]
-                yl = _GY[core] - center[1]
-                img[core] = _texture(spec.core, xl, yl, grain[core])
+            is_core &= ~frag
+            is_core |= core
+        if stone_sentinel is not None:
+            img[stone_bits] = np.asarray(stone_sentinel, dtype=np.float32)
+        elif stone_bits.any():
+            _paint_stone(img, spec, index, center, stone_bits, is_core)
 
     occluded = np.zeros((SIDE, SIDE), dtype=bool)
 
@@ -583,7 +611,7 @@ def render_frame(
         if glare_ev:
             _apply_glare(img, spec, index, glare_ev)
 
-        img *= _VIGNETTE[..., None]
+        img *= _VIGNETTE
 
         drift_ev = spec.active(EventKind.BRIGHTNESS_DRIFT, t)
         if drift_ev:

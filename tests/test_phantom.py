@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lithovid.phantom import (
     EVENT_RATES,
     EventKind,
     EventScript,
+    Palette,
     PhantomSpec,
     adversarial_spec,
     clean_spec,
@@ -83,6 +86,55 @@ class TestSpecValidation:
         spec = adversarial_spec(99, IAIIB, 8.0)
         back = PhantomSpec.from_json(spec.to_json())
         assert back == spec
+
+    @pytest.mark.parametrize("fields", [
+        {"base": (float("nan"), 60.0, 70.0)},
+        {"base": (150.0, float("inf"), 70.0)},
+        {"base": (150.0, 60.0, 70.0), "ripple": float("inf")},
+        {"base": (150.0, 60.0, 70.0), "speckle": float("-inf")},
+        {"base": (150.0, 60.0, 70.0), "ripple": float("nan")},
+        {"base": (150.0, 60.0)},
+        {"base": (150.0, 60.0, 70.0, 80.0)},
+    ])
+    def test_palette_rejects_non_finite_values_and_bad_base(self, fields):
+        with pytest.raises(ValidationError):
+            Palette(**fields)
+
+    def test_from_json_rejects_non_finite_palette(self):
+        spec = adversarial_spec(99, IA, 4.0)
+        payload = json.loads(spec.to_json())
+        payload["background"]["base"] = [float("nan"), 60, 70]
+        with pytest.raises(ValidationError):
+            PhantomSpec.from_json(json.dumps(payload))
+        payload = json.loads(spec.to_json())
+        payload["shell"]["ripple"] = float("inf")
+        text = json.dumps(payload)
+        assert "Infinity" in text
+        with pytest.raises(ValidationError):
+            PhantomSpec.from_json(text)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.pop("seed"),
+        lambda p: p.pop("events"),
+        lambda p: p.pop("core"),
+        lambda p: p["background"].pop("speckle"),
+        lambda p: p["events"][0].pop("t_end"),
+        lambda p: p.update(events=None),
+        lambda p: p.update(shell=[1, 2, 3]),
+        lambda p: p.update(background={"base": 5, "ripple": 0.1, "speckle": 0.0}),
+        lambda p: p.update(seed="x"),
+        lambda p: p["events"][0].update(kind="Teleport"),
+    ])
+    def test_from_json_malformed_payload_is_invalid_spec(self, edit):
+        payload = json.loads(adversarial_spec(99, IA, 4.0).to_json())
+        edit(payload)
+        with pytest.raises(InvalidSpec):
+            PhantomSpec.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("text", ["", "[]", "null", "{", '"spec"'])
+    def test_from_json_non_object_is_invalid_spec(self, text):
+        with pytest.raises(InvalidSpec):
+            PhantomSpec.from_json(text)
 
 
 class TestDeterminism:
@@ -242,3 +294,22 @@ class TestCounterBasedStreams:
         a = stream(1, "alpha").uniform(size=3)
         b = stream(1, "beta").uniform(size=3)
         assert not np.array_equal(a, b)
+
+    def test_uniform_draws_are_prefix_stable(self):
+        # the grain field is drawn only up to the stone's last row
+        full = stream(7, "grain", frame=3).uniform(-1.0, 1.0, size=(256, 256))
+        for k in (1, 5, 100, 255):
+            part = stream(7, "grain", frame=3).uniform(-1.0, 1.0, size=(k, 256))
+            assert part.tobytes() == full[:k].tobytes()
+
+    def test_advance_skips_whole_rows_of_uniform_draws(self):
+        # one Philox step yields 4 doubles, so a 256-wide row is 64 steps
+        full = stream(7, "grain", frame=3).uniform(-1.0, 1.0, size=(256, 256))
+        for y0 in (1, 37, 128, 255):
+            rng = stream(7, "grain", frame=3)
+            rng.bit_generator.advance(y0 * 64)
+            rows = rng.uniform(-1.0, 1.0, size=(256 - y0, 256))
+            assert rows.tobytes() == full[y0:].tobytes()
+            rng = stream(7, "grain", frame=3)
+            rng.bit_generator.advance(y0 * 64 - 1)
+            assert rng.uniform(-1.0, 1.0, size=256).tobytes() != full[y0].tobytes()

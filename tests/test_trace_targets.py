@@ -60,3 +60,22 @@ def test_traced_run_records_every_layer_of_the_run_path(tmp_path, monkeypatch):
     for name in ("video_io.load_stream", "video_io.read_ppm", "video_io.normalize_video",
                  "segmentation.segment", "pipeline.run_timeline"):
         assert name in called, name
+
+
+def test_traced_phantom_records_one_render_per_frame():
+    """phantom.render_frame stays the module-level function generate_phantom calls per frame."""
+    from lithovid import phantom
+    from lithovid.core import MorphClass
+
+    spec = phantom.adversarial_spec(3, MorphClass.IA_IIB, 2.0)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        video, _, _ = phantom.generate_phantom(spec)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("phantom.generate_phantom") == 1
+    assert names.count("phantom.render_frame") == spec.n_frames == len(video.frames)
+    renders = [span for span in tracer.spans if span[0] == "phantom.render_frame"]
+    assert all(tracer.spans[span[3]][0] == "phantom.generate_phantom" for span in renders)
