@@ -121,42 +121,59 @@ def _taps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i0, np.minimum(i0 + 1, n - 1), ((s - i0) * 512).astype(np.int32)
 
 
+def _resize_plan(h: int, w: int) -> Callable[[np.ndarray], np.ndarray]:
+    """bilinear_resize for (h, w) images: the taps, column indices and int32 scratch are
+    made once, and each call returns a fresh array (a copy at scale 1)."""
+    if (h, w) == (FRAME_SIDE, FRAME_SIDE):
+        return np.ndarray.copy
+    y0, y1, wy = _taps(h)
+    wy = wy[:, None, None]
+    top = 512 - wy
+    # horizontal pass over (row, 3 * x + channel) columns: one flat gather per tap
+    x0, x1, wx = (np.repeat(t, 3) for t in _taps(w))
+    rgb = np.tile(np.arange(3), FRAME_SIDE)
+    i0, i1, left_w = 3 * x0 + rgb, 3 * x1 + rgb, 512 - wx
+    cols, term = (np.empty((FRAME_SIDE, w, 3), np.int32) for _ in range(2))
+    left, right = (np.empty((FRAME_SIDE, 3 * FRAME_SIDE), np.int32) for _ in range(2))
+
+    def resize(img: np.ndarray) -> np.ndarray:
+        np.multiply(img[y0], top, out=cols)
+        np.add(cols, np.multiply(img[y1], wy, out=term), out=cols)
+        flat = cols.reshape(FRAME_SIDE, 3 * w)
+        # mode="clip" (the indices are in range) keeps take from buffering its out= result
+        out = np.take(flat, i0, axis=1, out=left, mode="clip")
+        out *= left_w
+        out += np.multiply(np.take(flat, i1, axis=1, out=right, mode="clip"), wx, out=right)
+        out += 1 << 17
+        out >>= 18
+        return out.astype(np.uint8).reshape(FRAME_SIDE, FRAME_SIDE, 3)
+
+    return resize
+
+
 def bilinear_resize(img: np.ndarray) -> np.ndarray:
     """Bilinear resize to FRAME_SIDE square, pixel-center convention; exact at scale 1.
 
     FRAME_SIDE = 256 makes every tap weight a multiple of 1/512, so the float64
     floor(sum(v * wy * wx) + 0.5) is exact: this int32 sum of v * 512wy * 512wx.
     """
-    h, w = img.shape[:2]
-    if (h, w) == (FRAME_SIDE, FRAME_SIDE):
-        return img.copy()
-    y0, y1, wy = _taps(h)
-    wy = wy[:, None, None]
-    cols = img[y0] * (512 - wy)
-    cols += img[y1] * wy
-    cols = cols.reshape(FRAME_SIDE, 3 * w)
-    # horizontal pass over (row, 3 * x + channel) columns: one flat gather per tap
-    x0, x1, wx = (np.repeat(t, 3) for t in _taps(w))
-    rgb = np.tile(np.arange(3), FRAME_SIDE)
-    out = cols[:, 3 * x0 + rgb]
-    out *= 512 - wx
-    right = cols[:, 3 * x1 + rgb]
-    right *= wx
-    out += right
-    out += 1 << 17
-    return (out >> 18).astype(np.uint8).reshape(FRAME_SIDE, FRAME_SIDE, 3)
+    return _resize_plan(*img.shape[:2])(img)
 
 
-def normalize_frame(img: np.ndarray, stream_index: int = 0) -> FrameGrid:
-    """Center-crop to the largest centered square, then resize to 256x256."""
+def _checked_square(img: np.ndarray) -> np.ndarray:
+    """The largest centered square of an HxWx3 uint8 image of at least MIN_FRAME_SIDE."""
     arr = np.asarray(img)
     if arr.dtype != np.uint8 or arr.ndim != 3 or arr.shape[2] != 3:
         raise ValidationError("normalize_frame expects an HxWx3 uint8 image")
     h, w = arr.shape[:2]
     if h < MIN_FRAME_SIDE or w < MIN_FRAME_SIDE:
         raise TooSmall(f"frame {w}x{h} is below the {MIN_FRAME_SIDE} px minimum")
-    square = _center_crop_square(arr)
-    return FrameGrid(bilinear_resize(square), stream_index=stream_index)
+    return _center_crop_square(arr)
+
+
+def normalize_frame(img: np.ndarray, stream_index: int = 0) -> FrameGrid:
+    """Center-crop to the largest centered square, then resize to 256x256."""
+    return FrameGrid(bilinear_resize(_checked_square(img)), stream_index=stream_index)
 
 
 def normalize_mask(mask: np.ndarray) -> StoneMask:
@@ -230,10 +247,9 @@ def _read_pnm(path: Path, magic: bytes, channels: int) -> np.ndarray:
     data = path.read_bytes()
     w, h, pos = _parse_pnm_header(path, data, magic)
     expected = w * h * channels
-    raster = data[pos : pos + expected]
-    if len(raster) != expected:
+    if len(data) - pos < expected:
         raise CorruptManifest(f"{path} raster is truncated")
-    arr = np.frombuffer(raster, dtype=np.uint8)
+    arr = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)  # a view, no copy
     if channels == 1:
         return arr.reshape(h, w)
     return arr.reshape(h, w, channels)
@@ -404,14 +420,23 @@ def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequenc
 
     Both are lazy sequences: stream item k reads native item
     stream_indices(video)[k] and normalizes it each time it is accessed,
-    keeping nothing, so one pass holds one frame at a time.
+    keeping nothing, so one pass holds one frame at a time. One resize plan,
+    built by the first frame that needs it, serves the whole video: every
+    frame gets a fresh array, but the plan's scratch is shared, so a stream
+    is not meant to be consumed from several threads at once.
     """
     native = stream_indices(video)
+    plans: dict[tuple[int, ...], Callable[[np.ndarray], np.ndarray]] = {}  # by crop shape
+
+    def frame(k: int) -> FrameGrid:
+        square = _checked_square(video.frames[native[k]])
+        if square.shape not in plans:
+            plans[square.shape] = _resize_plan(*square.shape[:2])
+        return FrameGrid(plans[square.shape](square), stream_index=k)
 
     def mask(k: int) -> Optional[StoneMask]:
         m = video.truth_masks[native[k]]
         return None if m is None else normalize_mask(m)
 
-    frames = LazySequence(len(native),
-                          lambda k: normalize_frame(video.frames[native[k]], stream_index=k))
+    frames = LazySequence(len(native), frame)
     return frames, None if video.truth_masks is None else LazySequence(len(native), mask)

@@ -12,6 +12,7 @@ to be reachable from the printed sensitivity, specificity and precision
 within those intervals.
 """
 
+import collections
 import hashlib
 import itertools
 import time
@@ -318,19 +319,20 @@ def test_c02_aggregation_arithmetic():
 
 def brute_force_decide(labels):
     n = len(labels)
+    count = collections.Counter(labels)  # one pass over the label list
     for c in CANONICAL_ORDER:
-        if labels.count(c) * 2 > n:
+        if count[c] * 2 > n:
             return c, "Majority"
     hits = []
     for mixed, members in ((IAIIB, (IA, IIB, IAIIB)), (IAIIIB, (IA, IIIB, IAIIIB))):
-        pooled = len([l for l in labels if l in members])
+        pooled = sum(count[m] for m in members)
         if pooled * 2 > n:
             hits.append((pooled, mixed.rank, mixed))
     if hits:
         hits.sort(key=lambda h: (-h[0], h[1]))
         return hits[0][2], "MixedUnion"
     return (
-        sorted(CANONICAL_ORDER, key=lambda c: (-labels.count(c), c.rank))[0],
+        sorted(CANONICAL_ORDER, key=lambda c: (-count[c], c.rank))[0],
         "Fallback",
     )
 
