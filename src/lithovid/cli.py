@@ -294,7 +294,8 @@ def cmd_calibrate_seg(args) -> int:
         stills = phantom.training_stills(args.seed, args.stills)
         samples = ((f, m) for f, m, _ in stills)
     seg = calibrate_chroma(samples)
-    seg.save(Path(args.out))
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    _write_replacing(Path(args.out), seg.save)
     print(f"calibration written to {args.out} (tau={seg.tau:.3f})")
     return EXIT_OK
 
@@ -305,7 +306,8 @@ def cmd_train_cls(args) -> int:
     else:
         samples = phantom.training_stills(args.seed, args.stills)
     model = train_centroid(samples, beta=args.beta)
-    model.save(Path(args.out))
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    _write_replacing(Path(args.out), model.save)
     print(f"model with {len(model.centroids)} centroids written to {args.out}")
     return EXIT_OK
 

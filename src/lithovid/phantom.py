@@ -363,12 +363,6 @@ def _paint_stone(img: np.ndarray, spec: PhantomSpec, index: int, center: tuple[f
             np.copyto(img[y0:y1, x0:x1, c], shade * np.float32(pal.base[c]), where=sel)
 
 
-@dataclass(frozen=True)
-class _StoneState:
-    masks: tuple[np.ndarray, ...]       # per-fragment screen masks (full frame)
-    cores: tuple[np.ndarray, ...]       # per-fragment exposed-core submasks
-
-
 def _boundary_factor(geom: _Geometry, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Lobed boundary modulation, Chebyshev-expanded to avoid arctan/cos."""
     r = np.sqrt(u * u + v * v)
@@ -443,20 +437,23 @@ def _place(template: np.ndarray, radius: int, cx: float, cy: float) -> np.ndarra
     return out
 
 
-def _stone_state(
+def _stone_bits(
     spec: PhantomSpec,
     geom: _Geometry,
     index: int,
     center: tuple[float, float],
-) -> _StoneState:
-    t = index / STREAM_FPS
-    frags = spec.fragmentation_times()
-    done = [e for e in frags if t >= e.t_start]
-    templates = _templates_for_seed(spec.seed)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stone and exposed-core screen masks for frame `index`.
 
+    Each fragment is folded in as it is placed: a later fragment paints
+    over an earlier one, core and shell alike.
+    """
+    t = index / STREAM_FPS
+    templates = _templates_for_seed(spec.seed)
+    is_core = np.zeros((SIDE, SIDE), dtype=bool)
+    done = [e for e in spec.fragmentation_times() if t >= e.t_start]
     if not done:
-        placed = _place(templates.parent, templates.radius, center[0], center[1])
-        return _StoneState(masks=(placed,), cores=(np.zeros((SIDE, SIDE), bool),))
+        return _place(templates.parent, templates.radius, center[0], center[1]), is_core
 
     # separation progress: ramp over the active event, 1.0 after it
     progress = 1.0
@@ -476,29 +473,19 @@ def _stone_state(
     )
     offsets = geom.frag_dirs * (geom.frag_dist * progress)[:, None] + wobble
 
-    masks = []
-    cores = []
-    dc = None
-    for j, template in enumerate(templates.fragments):
-        frag = _place(
-            template,
-            templates.radius,
-            center[0] + offsets[j, 0],
-            center[1] + offsets[j, 1],
-        )
-        masks.append(frag)
+    if spec.core is not None:
+        # exposed section faces the original stone center; all fragments
+        # re-orient together so the visible core fraction swings widely
+        dc = (_GX - center[0]) ** 2 + (_GY - center[1]) ** 2
+        f = _core_fraction(geom, t)
+    stone = np.zeros((SIDE, SIDE), dtype=bool)
+    for (ox, oy), template in zip(offsets, templates.fragments):
+        frag = _place(template, templates.radius, center[0] + ox, center[1] + oy)
+        stone |= frag
+        is_core &= ~frag
         if spec.core is not None and frag.any():
-            if dc is None:
-                dc = (_GX - center[0]) ** 2 + (_GY - center[1]) ** 2
-            # exposed section faces the original stone center; all fragments
-            # re-orient together so the visible core fraction swings widely
-            f = _core_fraction(geom, t)
-            vals = dc[frag]
-            thresh = np.quantile(vals, f)
-            cores.append(frag & (dc <= thresh))
-        else:
-            cores.append(np.zeros((SIDE, SIDE), bool))
-    return _StoneState(masks=tuple(masks), cores=tuple(cores))
+            is_core |= frag & (dc <= np.quantile(dc[frag], f))
+    return stone, is_core
 
 
 def _draw_instrument(img: np.ndarray, occluded: np.ndarray, spec: PhantomSpec,
@@ -575,19 +562,12 @@ def render_frame(
     else:
         img = np.zeros((SIDE, SIDE, 3), dtype=np.float32)
 
-    stone_free = spec.active(EventKind.STONE_FREE, t) is not None
-    stone_bits = np.zeros((SIDE, SIDE), dtype=bool)
-
-    if not stone_free:
+    if spec.active(EventKind.STONE_FREE, t) is not None:
+        stone_bits = np.zeros((SIDE, SIDE), dtype=bool)
+    else:
         dx, dy = _drift(geom, t)
         center = ((SIDE - 1) / 2 + dx + shift[0], (SIDE - 1) / 2 + dy + shift[1])
-        state = _stone_state(spec, geom, index, center)
-        is_core = np.zeros((SIDE, SIDE), dtype=bool)
-        for frag, core in zip(state.masks, state.cores):
-            # a later fragment paints over an earlier one, core and shell alike
-            stone_bits |= frag
-            is_core &= ~frag
-            is_core |= core
+        stone_bits, is_core = _stone_bits(spec, geom, index, center)
         if stone_sentinel is not None:
             img[stone_bits] = np.asarray(stone_sentinel, dtype=np.float32)
         elif stone_bits.any():

@@ -32,6 +32,9 @@ from .errors import (
 
 MANIFEST_NAME = "manifest.json"
 MIN_FRAME_SIDE = 16
+# run writes <video_id>.json through the temp file .<video_id>.json.<pid>.tmp; with a pid
+# of up to 7 digits that name must fit in a 255-byte file name
+MAX_VIDEO_ID_BYTES = 255 - len("..json.1234567.tmp")
 
 
 class LazySequence(Sequence):
@@ -334,9 +337,10 @@ def read_manifest(manifest_path: Path) -> Manifest:
     """Parse and check a manifest (a manifest file or its directory) without opening frames.
 
     Every error is a CorruptManifest naming the file: missing or mistyped
-    fields, a video_id that is not a file name, a frame entry that is not
-    an object with a string file (and string truth_mask / truth_label),
-    an unknown truth_label tag, or truth labels that disagree across frames.
+    fields, a video_id that is not a usable file name, a frame entry that
+    is not an object with a string file (and string truth_mask /
+    truth_label), an unknown truth_label tag, or truth labels that
+    disagree across frames.
     """
     path = Path(manifest_path)
     if path.is_dir():
@@ -353,9 +357,16 @@ def read_manifest(manifest_path: Path) -> Manifest:
         entries = manifest["frames"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptManifest(f"{path} is missing required fields ({exc})") from None
-    # run names its outputs after video_id, so it must not reach out of their directory
-    if not isinstance(video_id, str) or Path(video_id).name != video_id:
-        raise CorruptManifest(f"{path}: video_id must be a file name, got {video_id!r}")
+    # run names its outputs after video_id, so it must be one file name inside their directory
+    try:
+        usable = (isinstance(video_id, str) and video_id not in ("", ".", "..")
+                  and "/" not in video_id and "\0" not in video_id
+                  and len(video_id.encode("utf-8")) <= MAX_VIDEO_ID_BYTES)
+    except UnicodeEncodeError:  # a lone surrogate from a JSON escape
+        usable = False
+    if not usable:
+        raise CorruptManifest(f"{path}: video_id must be a file name of 1 to "
+                              f"{MAX_VIDEO_ID_BYTES} bytes, got {video_id!r}")
     if not isinstance(entries, list):
         raise CorruptManifest(f"{path}: frames must be a list")
     masks, labels = [], set()

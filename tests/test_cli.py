@@ -21,6 +21,12 @@ from lithovid.video_io import read_pgm, read_ppm, write_pgm
 from conftest import write_score_csv
 
 
+# video_ids that run cannot use as the name of its outputs
+UNUSABLE_VIDEO_IDS = ["", ".", "..", "a\u0000b", "\ud800", "x" * 238, "é" * 119]
+UNUSABLE_ID_NAMES = ["empty", "dot", "dot-dot", "nul", "lone surrogate", "238 bytes",
+                     "238 utf-8 bytes"]
+
+
 def tree_digest(root: Path) -> str:
     h = hashlib.sha256()
     for path in sorted(root.rglob("*")):
@@ -115,6 +121,38 @@ class TestCohortSampleCount:
                      "--out", str(out)]) == 1
         assert "--per-video" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestModelOutput:
+    """train-cls and calibrate-seg create --out's directory and write it atomically."""
+
+    COMMANDS = {
+        "train-cls": (["--stills", "12", "--seed", "1"], "model.json"),
+        "calibrate-seg": (["--stills", "6", "--seed", "99"], "cal.json"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_in_a_missing_directory(self, workspace, tmp_path, command):
+        args, same_as = self.COMMANDS[command]
+        out = tmp_path / "new" / "sub" / "out.json"
+        assert main([command, *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (workspace / same_as).read_bytes()
+        assert [p.name for p in out.parent.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_failed_save_leaves_no_file(self, tmp_path, monkeypatch, capsys, command):
+        from lithovid.classify import CentroidModel
+        from lithovid.segmentation import ChromaSegmenter
+
+        def failing(self, path):
+            Path(path).write_text('{"beta": ', "utf-8")
+            raise OSError("disk full")
+
+        for cls in (CentroidModel, ChromaSegmenter):
+            monkeypatch.setattr(cls, "save", failing)
+        assert main([command, "--stills", "2", "--out", str(tmp_path / "out.json")]) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunCommand:
@@ -351,6 +389,46 @@ class TestRunCommand:
         assert [p.name for p in (tmp_path / "o").rglob("*.json")] == [name]
         assert (tmp_path / "o" / "out" / name).read_bytes() == (
             workspace / "timelines" / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("video_id", UNUSABLE_VIDEO_IDS, ids=UNUSABLE_ID_NAMES)
+    def test_unusable_video_id_spares_the_rest(self, workspace, tmp_path, capsys, monkeypatch,
+                                               video_id, workers):
+        import shutil
+
+        videos = one_video(workspace, tmp_path / "videos")
+        bad = videos / "bad"
+        shutil.copytree(videos / "Ia-clean-000", bad)
+        edit_json(bad / "manifest.json", bad / "manifest.json",
+                  lambda p: p.update(video_id=video_id))
+        monkeypatch.setenv("LITHO_WORKERS", workers)
+        out = tmp_path / "o" / "out"
+        code = main(["run", "--videos", str(videos), "--out", str(out),
+                     "--model", str(workspace / "model.json"), "--overlay"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+        assert "video_id" in err[0]
+        name = "Ia-clean-000"
+        written = sorted(str(p.relative_to(out)) for p in (tmp_path / "o").rglob("*")
+                         if p.is_file())
+        overlays = sorted(str(p.relative_to(out)) for p in (out / "overlays" / name).iterdir())
+        assert written == sorted([f"{name}.json", *overlays]) and overlays
+        assert (out / f"{name}.json").read_bytes() == (
+            workspace / "timelines" / f"{name}.json").read_bytes()
+
+    def test_longest_usable_video_id(self, workspace, tmp_path, monkeypatch):
+        from lithovid.video_io import MAX_VIDEO_ID_BYTES
+
+        videos = one_video(workspace, tmp_path / "videos")
+        video_id = "x" * MAX_VIDEO_ID_BYTES
+        manifest = videos / "Ia-clean-000" / "manifest.json"
+        edit_json(manifest, manifest, lambda p: p.update(video_id=video_id))
+        monkeypatch.delenv("LITHO_WORKERS", raising=False)
+        out = tmp_path / "o"
+        assert main(["run", "--videos", str(videos), "--out", str(out),
+                     "--model", str(workspace / "model.json")]) == 0
+        assert [p.name for p in out.iterdir()] == [f"{video_id}.json"]
 
     @pytest.mark.parametrize("fps", [math.nan, math.inf])
     def test_non_finite_native_fps_is_data_error(self, workspace, tmp_path, capsys, fps):
@@ -697,6 +775,18 @@ class TestEvalCommand:
                      "--truth", str(bad.parent.parent), "--out", str(tmp_path / "o")])
         assert code == 2
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("video_id", UNUSABLE_VIDEO_IDS, ids=UNUSABLE_ID_NAMES)
+    def test_unusable_truth_video_id_is_data_error(self, workspace, tmp_path, capsys, video_id):
+        bad = tmp_path / "truth" / "v" / "manifest.json"
+        bad.parent.mkdir(parents=True)
+        edit_json(workspace / "cohort" / "Ia-clean-000" / "manifest.json", bad,
+                  lambda p: p.update(video_id=video_id))
+        code = main(["eval", "--timelines", str(workspace / "timelines"),
+                     "--truth", str(bad.parent.parent), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_duplicate_truth_video_id_is_data_error(self, workspace, tmp_path, capsys):
         import shutil

@@ -3,11 +3,15 @@
 The reference below is that renderer, kept verbatim: it draws the whole
 256x256 grain field, composites every fragment with full-frame boolean
 gathers and scatters, and multiplies the vignette and glare through
-stride-0 broadcasts. The helpers it shares with the current module
-(geometry, stone state, instrument, particles) did not change.
+stride-0 broadcasts. The stone state it folds is
+that renderer's too, kept verbatim: one full-frame mask per fragment and
+one core frame per fragment, zeros where the fragment has no core. The
+helpers it shares with the current module (geometry, templates and their
+placement, core fraction, instrument, particles) did not change.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,12 +26,15 @@ from lithovid.phantom import (
     EventScript,
     Palette,
     PhantomSpec,
+    _Geometry,
+    _core_fraction,
     _draw_instrument,
     _draw_particles,
     _drift,
     _geometry_for_seed,
     _jitter_offset,
-    _stone_state,
+    _place,
+    _templates_for_seed,
     generate_phantom,
     make_still,
     render_frame,
@@ -39,6 +46,70 @@ _YS = np.arange(SIDE, dtype=np.float32)
 _GY, _GX = np.mgrid[0:SIDE, 0:SIDE].astype(np.float32)
 _R2 = ((_GX - (SIDE - 1) / 2) ** 2 + (_GY - (SIDE - 1) / 2) ** 2) / ((SIDE / 2) ** 2)
 _VIGNETTE = (1.0 - 0.16 * np.clip(_R2, 0.0, 1.0)).astype(np.float32)
+
+
+@dataclass(frozen=True)
+class _StoneState:
+    masks: tuple[np.ndarray, ...]       # per-fragment screen masks (full frame)
+    cores: tuple[np.ndarray, ...]       # per-fragment exposed-core submasks
+
+
+def _stone_state(
+    spec: PhantomSpec,
+    geom: _Geometry,
+    index: int,
+    center: tuple[float, float],
+) -> _StoneState:
+    t = index / STREAM_FPS
+    frags = spec.fragmentation_times()
+    done = [e for e in frags if t >= e.t_start]
+    templates = _templates_for_seed(spec.seed)
+
+    if not done:
+        placed = _place(templates.parent, templates.radius, center[0], center[1])
+        return _StoneState(masks=(placed,), cores=(np.zeros((SIDE, SIDE), bool),))
+
+    # separation progress: ramp over the active event, 1.0 after it
+    progress = 1.0
+    current = [e for e in done if e.active(t)]
+    if current:
+        ev = current[0]
+        x = (t - ev.t_start) / (ev.t_end - ev.t_start)
+        progress = x * x * (3 - 2 * x)  # smoothstep
+
+    # per-fragment slow wobble keeps post-split masks stable but alive
+    wobble = np.stack(
+        [
+            1.2 * np.sin(2 * math.pi * t / 5.0 + geom.core_phase),
+            1.2 * np.cos(2 * math.pi * t / 6.0 + geom.core_phase),
+        ],
+        axis=1,
+    )
+    offsets = geom.frag_dirs * (geom.frag_dist * progress)[:, None] + wobble
+
+    masks = []
+    cores = []
+    dc = None
+    for j, template in enumerate(templates.fragments):
+        frag = _place(
+            template,
+            templates.radius,
+            center[0] + offsets[j, 0],
+            center[1] + offsets[j, 1],
+        )
+        masks.append(frag)
+        if spec.core is not None and frag.any():
+            if dc is None:
+                dc = (_GX - center[0]) ** 2 + (_GY - center[1]) ** 2
+            # exposed section faces the original stone center; all fragments
+            # re-orient together so the visible core fraction swings widely
+            f = _core_fraction(geom, t)
+            vals = dc[frag]
+            thresh = np.quantile(vals, f)
+            cores.append(frag & (dc <= thresh))
+        else:
+            cores.append(np.zeros((SIDE, SIDE), bool))
+    return _StoneState(masks=tuple(masks), cores=tuple(cores))
 
 
 def _background(spec: PhantomSpec, index: int, shift: tuple[float, float]) -> np.ndarray:
