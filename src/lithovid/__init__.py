@@ -10,7 +10,6 @@ from .core import (
     QcVerdict,
     StoneMask,
     VideoTimeline,
-    canonical_order,
 )
 from .decision import LabelCensus, decide, decide_labels
 from .pipeline import Variant, run_raw_video, run_timeline
@@ -32,7 +31,6 @@ __all__ = [
     "StoneMask",
     "Variant",
     "VideoTimeline",
-    "canonical_order",
     "check_frame",
     "decide",
     "decide_labels",

@@ -192,6 +192,23 @@ def _write_replacing(target: Path, write: Callable[[Path], object]) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _write_text(target: Path, text: str) -> None:
+    _write_replacing(target, lambda tmp: tmp.write_text(text, "utf-8"))
+
+
+def _make_out(out: str, is_file: bool = False) -> Path:
+    """Create the --out directory (for a file, its parent) before the command's work; a
+    file or directory in the way is a data error naming --out, and nothing is written."""
+    path = Path(out)
+    if is_file and path.is_dir():
+        raise LithovidError(f"--out {path} is a directory, not a file")
+    try:
+        (path.parent if is_file else path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise LithovidError(f"cannot create --out {path}: {exc.strerror}") from None
+    return path
+
+
 def _run_one_video(video_dir: Path, out_dir: Path, variant: Variant, qc: QcConfig,
                    chroma: Optional[ChromaSegmenter], masks: Optional[Path],
                    model: Optional[CentroidModel], scores: Optional[Path], overlay: bool) -> None:
@@ -230,8 +247,7 @@ def _run_one_video(video_dir: Path, out_dir: Path, variant: Variant, qc: QcConfi
                              write_overlay)
     payload = evaluate.timeline_to_json(timelines[variant], truth_label=video.truth_label,
                                         variant=variant)
-    _write_replacing(out_dir / f"{video.video_id}.json",
-                     lambda tmp: tmp.write_text(payload, "utf-8"))
+    _write_text(out_dir / f"{video.video_id}.json", payload)
 
 
 def _require_unique_ids(entries: Iterable[tuple[str, Path]]) -> None:
@@ -255,8 +271,7 @@ def _run_isolated(video_dir: Path, **job) -> Optional[str]:
 
 
 def cmd_phantom(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args.out)
     if args.per_class == 0:
         print("warning: per-class count is 0, nothing generated", file=sys.stderr)
         return EXIT_OK
@@ -288,27 +303,27 @@ def _cohort_samples(cohort: Path, per_video: int):
 
 
 def cmd_calibrate_seg(args) -> int:
+    out = _make_out(args.out, is_file=True)
     if args.cohort:
         samples = ((f, m) for f, m, _ in _cohort_samples(Path(args.cohort), args.per_video))
     else:
         stills = phantom.training_stills(args.seed, args.stills)
         samples = ((f, m) for f, m, _ in stills)
     seg = calibrate_chroma(samples)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    _write_replacing(Path(args.out), seg.save)
-    print(f"calibration written to {args.out} (tau={seg.tau:.3f})")
+    _write_replacing(out, seg.save)
+    print(f"calibration written to {out} (tau={seg.tau:.3f})")
     return EXIT_OK
 
 
 def cmd_train_cls(args) -> int:
+    out = _make_out(args.out, is_file=True)
     if args.cohort:
         samples = list(_cohort_samples(Path(args.cohort), args.per_video))
     else:
         samples = phantom.training_stills(args.seed, args.stills)
     model = train_centroid(samples, beta=args.beta)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    _write_replacing(Path(args.out), model.save)
-    print(f"model with {len(model.centroids)} centroids written to {args.out}")
+    _write_replacing(out, model.save)
+    print(f"model with {len(model.centroids)} centroids written to {out}")
     return EXIT_OK
 
 
@@ -347,8 +362,7 @@ def cmd_run(args) -> int:
     # built once for every video, and checked before --out exists
     chroma = ChromaSegmenter.load(Path(args.calibration)) if args.segmenter == "chroma" else None
     model = CentroidModel.load(Path(args.model)) if args.classifier == "centroid" else None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out(args.out)
     job = partial(_run_isolated, out_dir=out_dir, variant=Variant(args.variant), qc=qc,
                   chroma=chroma, masks=Path(args.masks) if args.segmenter == "import" else None,
                   model=model, scores=Path(args.scores) if args.classifier == "import" else None,
@@ -415,9 +429,8 @@ def cmd_eval(args) -> int:
         groups.setdefault(truth, []).append(tl)
     framewise = evaluate.framewise_analysis(groups)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.csv").write_text(evaluate.metrics_csv({variant: per_class}), "utf-8")
+    out_dir = _make_out(args.out)
+    _write_text(out_dir / "report.csv", evaluate.metrics_csv({variant: per_class}))
     text = evaluate.summary_text({variant: per_class}, {variant: overall},
                                  {variant: qc_stats})
     fw_lines = ["", "frame-wise predicted fractions (mean over videos):"]
@@ -428,7 +441,7 @@ def cmd_eval(args) -> int:
         for c in CANONICAL_ORDER:
             row += f" {c.tag}={framewise[truth][c].mean:.2f}"
         fw_lines.append(row)
-    (out_dir / "report.txt").write_text(text + "\n".join(fw_lines) + "\n", "utf-8")
+    _write_text(out_dir / "report.txt", text + "\n".join(fw_lines) + "\n")
     print(f"evaluation written to {out_dir}")
     return EXIT_OK
 
@@ -463,10 +476,9 @@ def _read_metrics(path: Path) -> list[list[str]]:
 
 def cmd_report(args) -> int:
     rows = [row for path in args.inputs for row in _read_metrics(Path(path))]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out(args.out)
     lines = [",".join(row) for row in [evaluate.METRICS_HEADER, *rows]]
-    (out_dir / "combined.csv").write_text("\n".join(lines) + "\n", "utf-8")
+    _write_text(out_dir / "combined.csv", "\n".join(lines) + "\n")
 
     by_variant: dict[str, list[float]] = {}
     for row in rows:
@@ -476,7 +488,7 @@ def cmd_report(args) -> int:
         values = by_variant.get(variant.value)
         if values:
             lines.append(f"  {variant.value:<12} {sum(values) / len(values):6.2f} %")
-    (out_dir / "combined.txt").write_text("\n".join(lines) + "\n", "utf-8")
+    _write_text(out_dir / "combined.txt", "\n".join(lines) + "\n")
     print(f"combined report written to {out_dir}")
     return EXIT_OK
 

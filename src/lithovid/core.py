@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import total_ordering
 from typing import Mapping, Optional
 
 import numpy as np
@@ -22,13 +21,13 @@ STREAM_FPS = 8.0
 SCORE_SUM_TOL = 1e-9
 
 
-@total_ordering
 class MorphClass(Enum):
-    """The five recognized stone types, in canonical order.
+    """The five recognized stone types.
 
     Pure types carry one component, mixed types two. The canonical
-    order Ia < IIb < IIIb < IaIIb < IaIIIb is the deterministic
-    tie-break used everywhere a tie can occur.
+    order Ia, IIb, IIIb, IaIIb, IaIIIb (rank 0 to 4) is the deterministic
+    tie-break used everywhere a tie can occur; classes are ordered by
+    rank, never compared directly.
     """
 
     IA = "Ia"
@@ -68,11 +67,6 @@ class MorphClass(Enum):
         except KeyError:
             raise ValidationError(f"unknown morphology tag {tag!r}") from None
 
-    def __lt__(self, other: "MorphClass") -> bool:
-        if not isinstance(other, MorphClass):
-            return NotImplemented
-        return self.rank < other.rank
-
 
 CANONICAL_ORDER: tuple[MorphClass, ...] = (
     MorphClass.IA,
@@ -91,10 +85,6 @@ _COMPONENTS = {
     MorphClass.IA_IIB: frozenset({MorphClass.IA, MorphClass.IIB}),
     MorphClass.IA_IIIB: frozenset({MorphClass.IA, MorphClass.IIIB}),
 }
-
-def canonical_order(a: MorphClass, b: MorphClass) -> int:
-    """Three-way comparison in canonical class order (-1, 0 or 1)."""
-    return (a.rank > b.rank) - (a.rank < b.rank)
 
 
 def argmax_scores(scores: Mapping[MorphClass, float]) -> MorphClass:

@@ -170,10 +170,8 @@ def qc_pass_stats(timelines: Sequence[VideoTimeline]) -> MeanStd:
 
 @dataclass(frozen=True)
 class AblationResult:
-    variant: Variant
     timelines: tuple[VideoTimeline, ...]
     truths: tuple[MorphClass, ...]
-    tally: ConfusionTally
     per_class: Mapping[MorphClass, ClassMetrics]
     overall: Mapping[str, MeanStd]
 
@@ -182,14 +180,14 @@ def run_ablation(
     videos,
     segmenter_factory: Callable,
     classifier: Classifier,
-    variants: Sequence[Variant] = (Variant.FULL, Variant.NO_MASKING, Variant.NO_QC),
 ) -> dict[Variant, AblationResult]:
-    """Run the pipeline variants over one shared cohort.
+    """Run every pipeline variant over one shared cohort.
 
     videos is an iterable of (RawVideo, truth MorphClass); it is
     consumed once, each video running through all variants in one pass
     before the next is touched, so cohorts can be generated lazily.
     """
+    variants = tuple(Variant)
     timelines: dict[Variant, list[VideoTimeline]] = {v: [] for v in variants}
     truths: list[MorphClass] = []
     for video, truth in videos:
@@ -204,10 +202,8 @@ def run_ablation(
         )
         per_class = all_class_metrics(tally)
         out[variant] = AblationResult(
-            variant=variant,
             timelines=tuple(timelines[variant]),
             truths=tuple(truths),
-            tally=tally,
             per_class=per_class,
             overall=overall_scores(per_class),
         )

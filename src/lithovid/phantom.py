@@ -109,15 +109,15 @@ _CONTRADICTIONS = (
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Full deterministic description of one synthetic video."""
+    """Full deterministic description of one synthetic video; the label fixes its palettes."""
 
     seed: int
     label: MorphClass
     duration_s: float
     events: tuple[EventScript, ...] = field(default_factory=tuple)
-    background: Palette = BACKGROUND_PALETTE
-    shell: Optional[Palette] = None
-    core: Optional[Palette] = None
+    background: Palette = field(init=False, default=BACKGROUND_PALETTE)
+    shell: Palette = field(init=False)
+    core: Optional[Palette] = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.duration_s < math.inf:
@@ -138,16 +138,7 @@ class PhantomSpec:
                         raise InvalidSpec(
                             f"contradictory overlap: {a_kind.value} and {b_kind.value}"
                         )
-        shell, core = self.shell, self.core
-        default_shell, default_core = stone_palettes(self.label)
-        if shell is None:
-            shell = default_shell
-        if core is None:
-            core = default_core
-        if self.label.is_mixed and core is None:
-            raise InvalidSpec(f"mixed label {self.label.tag} requires a core palette")
-        if not self.label.is_mixed and core is not None:
-            raise InvalidSpec(f"pure label {self.label.tag} cannot carry a core palette")
+        shell, core = stone_palettes(self.label)
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "shell", shell)
         object.__setattr__(self, "core", core)
@@ -187,35 +178,6 @@ class PhantomSpec:
             "core": None if self.core is None else palette(self.core),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "PhantomSpec":
-        def palette(d: Optional[dict]) -> Optional[Palette]:
-            if d is None:
-                return None
-            return Palette(base=tuple(d["base"]), ripple=d["ripple"], speckle=d["speckle"])
-
-        try:
-            payload = json.loads(text)
-            return cls(
-                seed=int(payload["seed"]),
-                label=MorphClass.from_tag(payload["label"]),
-                duration_s=float(payload["duration_s"]),
-                events=tuple(
-                    EventScript(
-                        kind=EventKind(e["kind"]),
-                        t_start=e["t_start"],
-                        t_end=e["t_end"],
-                        intensity=e["intensity"],
-                    )
-                    for e in payload["events"]
-                ),
-                background=palette(payload["background"]),
-                shell=palette(payload["shell"]),
-                core=palette(payload["core"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidSpec(f"malformed phantom spec: {exc!r}") from None
 
 
 # -- per-video derived geometry ------------------------------------------------

@@ -125,8 +125,12 @@ def _taps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _resize_plan(h: int, w: int) -> Callable[[np.ndarray], np.ndarray]:
-    """bilinear_resize for (h, w) images: the taps, column indices and int32 scratch are
-    made once, and each call returns a fresh array (a copy at scale 1)."""
+    """Bilinear resize of (h, w) images to FRAME_SIDE square, pixel-center convention.
+
+    FRAME_SIDE = 256 makes every tap weight a multiple of 1/512, so the float64
+    floor(sum(v * wy * wx) + 0.5) is exact: this int32 sum of v * 512wy * 512wx.
+    The taps, column indices and int32 scratch are made once, and each call
+    returns a fresh array (a copy at scale 1)."""
     if (h, w) == (FRAME_SIDE, FRAME_SIDE):
         return np.ndarray.copy
     y0, y1, wy = _taps(h)
@@ -152,31 +156,6 @@ def _resize_plan(h: int, w: int) -> Callable[[np.ndarray], np.ndarray]:
         return out.astype(np.uint8).reshape(FRAME_SIDE, FRAME_SIDE, 3)
 
     return resize
-
-
-def bilinear_resize(img: np.ndarray) -> np.ndarray:
-    """Bilinear resize to FRAME_SIDE square, pixel-center convention; exact at scale 1.
-
-    FRAME_SIDE = 256 makes every tap weight a multiple of 1/512, so the float64
-    floor(sum(v * wy * wx) + 0.5) is exact: this int32 sum of v * 512wy * 512wx.
-    """
-    return _resize_plan(*img.shape[:2])(img)
-
-
-def _checked_square(img: np.ndarray) -> np.ndarray:
-    """The largest centered square of an HxWx3 uint8 image of at least MIN_FRAME_SIDE."""
-    arr = np.asarray(img)
-    if arr.dtype != np.uint8 or arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValidationError("normalize_frame expects an HxWx3 uint8 image")
-    h, w = arr.shape[:2]
-    if h < MIN_FRAME_SIDE or w < MIN_FRAME_SIDE:
-        raise TooSmall(f"frame {w}x{h} is below the {MIN_FRAME_SIDE} px minimum")
-    return _center_crop_square(arr)
-
-
-def normalize_frame(img: np.ndarray, stream_index: int = 0) -> FrameGrid:
-    """Center-crop to the largest centered square, then resize to 256x256."""
-    return FrameGrid(bilinear_resize(_checked_square(img)), stream_index=stream_index)
 
 
 def normalize_mask(mask: np.ndarray) -> StoneMask:
@@ -440,7 +419,13 @@ def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequenc
     plans: dict[tuple[int, ...], Callable[[np.ndarray], np.ndarray]] = {}  # by crop shape
 
     def frame(k: int) -> FrameGrid:
-        square = _checked_square(video.frames[native[k]])
+        img = np.asarray(video.frames[native[k]])
+        if img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3:
+            raise ValidationError(f"frame {native[k]} must be HxWx3 uint8")
+        h, w = img.shape[:2]
+        if h < MIN_FRAME_SIDE or w < MIN_FRAME_SIDE:
+            raise TooSmall(f"frame {w}x{h} is below the {MIN_FRAME_SIDE} px minimum")
+        square = _center_crop_square(img)
         if square.shape not in plans:
             plans[square.shape] = _resize_plan(*square.shape[:2])
         return FrameGrid(plans[square.shape](square), stream_index=k)

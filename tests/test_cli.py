@@ -155,6 +155,49 @@ class TestModelOutput:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOutInTheWay:
+    """A file or directory in the way of --out is a data error before any work, and nothing
+    is written."""
+
+    # (command, --out relative to a place holding a regular file F and an empty directory D)
+    CASES = [("phantom", "F"), ("run", "F"), ("eval", "F"), ("report", "F"), ("run", "F/x"),
+             ("train-cls", "F/m.json"), ("train-cls", "D"), ("calibrate-seg", "D"),
+             ("calibrate-seg", "F/c.json")]
+
+    @pytest.mark.parametrize("command, out", CASES)
+    def test_is_data_error_naming_it(self, workspace, tmp_path, capsys, monkeypatch, command,
+                                     out):
+        from lithovid import cli, phantom
+
+        args = {
+            "phantom": ["--per-class", "1", "--duration", "1"],
+            "run": ["--videos", str(workspace / "cohort"),
+                    "--model", str(workspace / "model.json")],
+            "eval": ["--timelines", str(workspace / "timelines")],
+            "report": ["--inputs", str(tmp_path / "ev" / "report.csv")],
+            "train-cls": ["--stills", "2"],
+            "calibrate-seg": ["--stills", "2"],
+        }[command]
+        if command == "report":
+            assert main(["eval", "--timelines", str(workspace / "timelines"),
+                         "--out", str(tmp_path / "ev")]) == 0
+
+        def work(*_, **__):
+            raise AssertionError("work started before --out was checked")
+
+        for module, name in ((phantom, "generate_phantom"), (cli, "_run_isolated"),
+                             (cli, "train_centroid"), (cli, "calibrate_chroma")):
+            monkeypatch.setattr(module, name, work)
+        place = tmp_path / "place"
+        (place / "D").mkdir(parents=True)
+        (place / "F").write_bytes(b"keep")
+        assert main([command, *args, "--out", str(place / out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(place / out) in err[0]
+        assert sorted(p.name for p in place.rglob("*")) == ["D", "F"]
+        assert (place / "F").read_bytes() == b"keep"
+
+
 class TestRunCommand:
     def test_clean_ia_decides_majority(self, workspace):
         tl, truth, variant = load_timeline(workspace, "Ia-clean-000.json")
@@ -825,6 +868,36 @@ class TestEvalCommand:
                      "--truth", str(absent), "--out", str(tmp_path / "o")])
         assert code == 2
         assert str(absent) in capsys.readouterr().err
+
+
+class TestReportFilesAtomic:
+    """eval and report write each file beside it and rename it into place."""
+
+    @pytest.mark.parametrize("command, failing", [
+        ("eval", "report.csv"), ("eval", "report.txt"),
+        ("report", "combined.csv"), ("report", "combined.txt"),
+    ])
+    def test_failed_write_leaves_no_partial_or_temp_file(self, workspace, tmp_path, monkeypatch,
+                                                         command, failing):
+        evaluated = tmp_path / "ev"
+        assert main(["eval", "--timelines", str(workspace / "timelines"),
+                     "--out", str(evaluated)]) == 0
+        write_text = Path.write_text
+
+        def half_then_fail(self, data, *args, **kwargs):
+            if self.name == failing or self.name.startswith(f".{failing}."):
+                write_text(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError("disk full")
+            return write_text(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        out = tmp_path / "o"
+        args = {"eval": ["--timelines", str(workspace / "timelines")],
+                "report": ["--inputs", str(evaluated / "report.csv")]}[command]
+        assert main([command, *args, "--out", str(out)]) == 3
+        names = [p.name for p in out.iterdir()]
+        assert failing not in names
+        assert not [n for n in names if n.startswith(".")]
 
 
 class TestReportCommand:

@@ -11,7 +11,6 @@ from lithovid.core import (
     StoneMask,
     VideoTimeline,
     argmax_scores,
-    canonical_order,
 )
 from lithovid.errors import ValidationError
 
@@ -35,28 +34,9 @@ class TestMorphClass:
         assert MorphClass.IIB in MorphClass.IA_IIB.components
         assert MorphClass.IIIB in MorphClass.IA_IIIB.components
 
-    def test_canonical_order_examples(self):
-        assert canonical_order(MorphClass.IA, MorphClass.IIB) < 0
-        assert canonical_order(MorphClass.IA_IIIB, MorphClass.IA_IIIB) == 0
-        assert canonical_order(MorphClass.IA_IIB, MorphClass.IIIB) > 0
-
-    def test_order_is_total_and_transitive(self):
-        classes = list(MorphClass)
-        for a in classes:
-            for b in classes:
-                assert canonical_order(a, b) == -canonical_order(b, a)
-                for c in classes:
-                    if canonical_order(a, b) <= 0 and canonical_order(b, c) <= 0:
-                        assert canonical_order(a, c) <= 0
-
-    def test_comparison_operators_follow_canonical_order(self):
-        for a in CANONICAL_ORDER:
-            for b in CANONICAL_ORDER:
-                order = canonical_order(a, b)
-                assert (a < b) == (order < 0)
-                assert (a <= b) == (order <= 0)
-                assert (a > b) == (order > 0)
-                assert (a >= b) == (order >= 0)
+    def test_classes_have_no_order_of_their_own(self):
+        with pytest.raises(TypeError):
+            sorted(CANONICAL_ORDER)  # order by .rank
 
     @pytest.mark.parametrize("other", [0, "Ia", None, 0.5])
     def test_comparison_with_other_types_raises(self, other):

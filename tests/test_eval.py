@@ -488,12 +488,16 @@ class TestOnePassVariants:
         assert classifier.calls == passing + frames
 
     def test_no_qc_alone_never_builds_a_segmenter(self, small_model):
+        from lithovid.pipeline import run_raw_video
+
         def factory(frames, truths):
             raise AssertionError("segmenter factory called for no-qc")
 
         classifier = CountingClassifier(small_model)
-        videos = [(adversarial_video(620 + c.rank, c, 2.0), c) for c in CANONICAL_ORDER]
-        results = run_ablation(iter(videos), factory, classifier, variants=(Variant.NO_QC,))
-        assert list(results) == [Variant.NO_QC]
-        frames = sum(len(tl.records) for tl in results[Variant.NO_QC].timelines)
+        frames = 0
+        for c in CANONICAL_ORDER:
+            video = adversarial_video(620 + c.rank, c, 2.0)
+            results = run_raw_video(video, factory, classifier, variants=(Variant.NO_QC,))
+            assert list(results) == [Variant.NO_QC]
+            frames += len(results[Variant.NO_QC].records)
         assert classifier.calls == frames

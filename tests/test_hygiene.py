@@ -5,8 +5,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lithovid"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lithovid"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# c05's reference training losses: the acceptance suite checks their gradients, and no
+# command trains a network with them
+UNREAD_ALLOWED = {"bce_loss_grad", "dice_loss_grad", "combined_loss"}
 
 
 def imported_names(tree):
@@ -65,6 +69,65 @@ def unused_private_names(source):
     tree = ast.parse(source)
     used = used_names(tree)
     return [(name, line) for name, line in private_names(tree) if name not in used]
+
+
+def read_names(nodes):
+    """Every name the nodes read, as an ast.Name (quoted annotations included) or an attribute."""
+    names = set()
+    for node in nodes:
+        names |= used_names(node)
+        names |= {n.attr for n in ast.walk(node)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return names
+
+
+def unread_public_names(modules, elsewhere):
+    """(module, name) of each public top-level function or class in modules that is read
+    neither by another module, nor by its own module outside its definition, nor elsewhere.
+
+    modules and elsewhere map a file name to its source.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    outside = read_names(ast.parse(source) for source in elsewhere.values())
+    unread = []
+    for name, tree in trees.items():
+        others = read_names(t for n, t in trees.items() if n != name)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                own = read_names(n for n in tree.body if n is not node)
+                if node.name not in others | own | outside:
+                    unread.append((name, node.name))
+    return unread
+
+
+def test_every_public_name_has_a_reader():
+    """A public function or class that only tests reach is surface to delete.
+
+    __init__.py is left out, so a re-export is not a read; perfbench counts.
+    """
+    modules = {p.name: p.read_text("utf-8") for p in MODULES}
+    perfbench = {p.name: p.read_text("utf-8") for p in (ROOT / "perfbench").glob("*.py")}
+    unread = [(m, n) for m, n in unread_public_names(modules, perfbench)
+              if n not in UNREAD_ALLOWED]
+    assert unread == []
+
+
+def test_public_check_sees_unread_names():
+    modules = {
+        "a.py": (
+            "def used_by_b(): pass\n"
+            "def used_later(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Orphan: pass\n"
+            "def by_attribute(): pass\n"
+            "def by_bench(): pass\n"
+            "_private = used_later()\n"
+        ),
+        "b.py": "from . import a\nused_by_b()\nx = a.by_attribute\n",
+    }
+    assert unread_public_names(modules, {"bench.py": "by_bench()\n"}) == [
+        ("a.py", "recursive"), ("a.py", "Orphan")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

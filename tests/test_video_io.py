@@ -27,9 +27,7 @@ from lithovid.video_io import (
     MIN_FRAME_SIDE,
     LazySequence,
     RawVideo,
-    bilinear_resize,
     load_stream,
-    normalize_frame,
     normalize_mask,
     normalize_video,
     read_pgm,
@@ -142,34 +140,44 @@ class TestResample:
         assert abs(len(picked) / 8.0 - n / fps) <= 1 / 8.0 + 1e-9
 
 
+def normalize_one(img):
+    """The only frame of the 8 Hz stream of a one-frame video."""
+    frames, _ = normalize_video(RawVideo(video_id="one", native_fps=STREAM_FPS, frames=(img,)))
+    return frames[0]
+
+
+def plan_resize(img):
+    return video_io._resize_plan(*img.shape[:2])(img)
+
+
 class TestNormalizeFrame:
     def test_640x480_crop_geometry(self):
         img = np.zeros((480, 640, 3), dtype=np.uint8)
         img[:, 80:560] = 77  # exactly the centered 480x480 square
-        out = normalize_frame(img)
+        out = normalize_one(img)
         assert out.pixels.shape == (256, 256, 3)
         assert np.all(out.pixels == 77)
 
     def test_256_input_is_bit_identical(self):
         rng = np.random.Generator(np.random.Philox(key=[5, 5]))
         img = rng.integers(0, 256, size=(256, 256, 3), dtype=np.uint8)
-        out = normalize_frame(img)
+        out = normalize_one(img)
         assert np.array_equal(out.pixels, img)
 
     def test_constant_color_is_preserved(self):
         img = np.full((512, 512, 3), 201, dtype=np.uint8)
-        out = normalize_frame(img)
+        out = normalize_one(img)
         assert np.all(out.pixels == 201)
 
     def test_too_small(self):
         with pytest.raises(TooSmall):
-            normalize_frame(np.zeros((15, 64, 3), dtype=np.uint8))
+            normalize_one(np.zeros((15, 64, 3), dtype=np.uint8))
 
     def test_idempotent_on_normalized(self):
         rng = np.random.Generator(np.random.Philox(key=[6, 6]))
         img = rng.integers(0, 256, size=(300, 400, 3), dtype=np.uint8)
-        once = normalize_frame(img)
-        twice = normalize_frame(once.pixels)
+        once = normalize_one(img)
+        twice = normalize_one(once.pixels)
         assert np.array_equal(once.pixels, twice.pixels)
 
     def test_normalize_mask_nearest(self):
@@ -322,20 +330,20 @@ class TestBilinearResizeExact:
     def test_matches_reference_formula(self, shape):
         rng = np.random.Generator(np.random.Philox(key=[shape[0], shape[1]]))
         img = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
-        assert np.array_equal(bilinear_resize(img), reference_bilinear_resize(img, 256, 256))
-        assert np.array_equal(bilinear_resize(img), int32_reference_resize(img))
+        assert np.array_equal(plan_resize(img), reference_bilinear_resize(img, 256, 256))
+        assert np.array_equal(plan_resize(img), int32_reference_resize(img))
 
     def test_matches_reference_on_hd30_shaped_phantom(self):
         video, _, _ = generate_phantom(PhantomSpec(seed=7, label=MorphClass.IIB, duration_s=2.0))
         for frame in video.frames[::3]:
             square = hd30_shaped(frame)[:, 80:560]
-            assert np.array_equal(bilinear_resize(square),
+            assert np.array_equal(plan_resize(square),
                                   reference_bilinear_resize(square, 256, 256))
 
     def test_scale_one_is_a_copy(self):
         rng = np.random.Generator(np.random.Philox(key=[9, 9]))
         img = rng.integers(0, 256, size=(256, 256, 3), dtype=np.uint8)
-        out = bilinear_resize(img)
+        out = plan_resize(img)
         assert np.array_equal(out, img)
         assert not np.shares_memory(out, img)
 
@@ -353,7 +361,7 @@ class TestBilinearResizeExact:
 
 
 def int32_reference_resize(img):
-    """bilinear_resize as it was before resize plans, verbatim: fresh int32 temporaries per call."""
+    """The resize as it was before resize plans, verbatim: fresh int32 temporaries per call."""
     h, w = img.shape[:2]
     if (h, w) == (FRAME_SIDE, FRAME_SIDE):
         return img.copy()
@@ -374,6 +382,14 @@ def int32_reference_resize(img):
     return (out >> 18).astype(np.uint8).reshape(FRAME_SIDE, FRAME_SIDE, 3)
 
 
+def reference_normalize(img):
+    """int32_reference_resize of the largest centered square."""
+    h, w = img.shape[:2]
+    side = min(h, w)
+    y0, x0 = (h - side) // 2, (w - side) // 2
+    return int32_reference_resize(img[y0 : y0 + side, x0 : x0 + side])
+
+
 class TestResizePlanExact:
     """The plan-based resize gives the bytes of the int32 code it replaced."""
 
@@ -381,7 +397,7 @@ class TestResizePlanExact:
         rng = np.random.Generator(np.random.Philox(key=[16, 4096]))
         for side in [*range(MIN_FRAME_SIDE, 1025), 1080, 1440, 2160, 4096]:
             img = rng.integers(0, 256, size=(side, side, 3), dtype=np.uint8)
-            assert np.array_equal(bilinear_resize(img), int32_reference_resize(img)), side
+            assert np.array_equal(plan_resize(img), int32_reference_resize(img)), side
 
     @pytest.mark.parametrize("shape", [(480, 480), (479, 641), (33, 19), (256, 256)])
     def test_one_plan_over_many_frames(self, shape):
@@ -424,7 +440,7 @@ class TestGridOnlyLoad:
         assert len(got_frames) == len(got_masks) == len(grid)
         for k, (frame, mask, i) in enumerate(zip(got_frames, got_masks, grid)):
             assert frame.stream_index == k
-            assert np.array_equal(frame.pixels, normalize_frame(native[i]).pixels)
+            assert np.array_equal(frame.pixels, reference_normalize(native[i]))
             assert np.array_equal(mask.bits, normalize_mask(native_masks[i]).bits)
 
     def test_decodes_only_grid_frames(self, tmp_path, monkeypatch):
@@ -513,7 +529,7 @@ class TestStreamFrames:
         later = [frames[j] for j in range(k + 1, k + 5)]
         assert np.array_equal(held.pixels, pixels)
         native = read_ppm(d / f"frame_{stream_indices(video)[k]:06d}.ppm")
-        assert np.array_equal(held.pixels, normalize_frame(native).pixels)
+        assert np.array_equal(held.pixels, reference_normalize(native))
         assert not any(np.shares_memory(held.pixels, f.pixels) for f in later)
 
     def test_frame_allocation_peak(self, tmp_path):
