@@ -120,7 +120,7 @@ def softmin_scores(distances: Mapping[MorphClass, float], beta: float) -> dict[M
 
 @dataclass(frozen=True, eq=False)
 class CentroidModel:
-    """Per-class feature centroids scored by a softmin over L1 distances."""
+    """Feature centroids of all five classes, scored by a softmin over L1 distances."""
 
     centroids: Mapping[MorphClass, np.ndarray]
     beta: float = DEFAULT_BETA
@@ -138,15 +138,12 @@ class CentroidModel:
             arr = arr.copy()
             arr.setflags(write=False)
             cents[c] = arr
-        object.__setattr__(self, "centroids", cents)
-
-    def _require_trained(self) -> None:
-        missing = [c.tag for c in CANONICAL_ORDER if c not in self.centroids]
+        missing = [c.tag for c in CANONICAL_ORDER if c not in cents]
         if missing:
             raise NotTrained(f"model lacks centroids for: {', '.join(missing)}")
+        object.__setattr__(self, "centroids", cents)
 
     def predict(self, frame: FrameGrid, mask: StoneMask) -> dict[MorphClass, float]:
-        self._require_trained()
         feat = features(frame, mask)
         dists = {
             c: float(np.abs(feat - cent).sum()) for c, cent in self.centroids.items()
@@ -169,7 +166,7 @@ class CentroidModel:
                 for tag, vec in payload["centroids"].items()
             }
             return cls(centroids=centroids, beta=float(payload["beta"]))
-        except (OSError, ValueError, KeyError, TypeError, ValidationError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ValidationError, NotTrained) as exc:
             raise NotTrained(f"cannot load model from {path}: {exc}") from None
 
 

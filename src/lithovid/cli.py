@@ -302,14 +302,16 @@ def _cohort_samples(cohort: Path, per_video: int):
             yield frames[k], truths[k], video.truth_label
 
 
+def _training_samples(args) -> Iterable[tuple[FrameGrid, StoneMask, MorphClass]]:
+    """(frame, truth mask, label) samples from --cohort if given, else --stills synthesized ones."""
+    if args.cohort:
+        return _cohort_samples(Path(args.cohort), args.per_video)
+    return phantom.training_stills(args.seed, args.stills)
+
+
 def cmd_calibrate_seg(args) -> int:
     out = _make_out(args.out, is_file=True)
-    if args.cohort:
-        samples = ((f, m) for f, m, _ in _cohort_samples(Path(args.cohort), args.per_video))
-    else:
-        stills = phantom.training_stills(args.seed, args.stills)
-        samples = ((f, m) for f, m, _ in stills)
-    seg = calibrate_chroma(samples)
+    seg = calibrate_chroma((f, m) for f, m, _ in _training_samples(args))
     _write_replacing(out, seg.save)
     print(f"calibration written to {out} (tau={seg.tau:.3f})")
     return EXIT_OK
@@ -317,11 +319,7 @@ def cmd_calibrate_seg(args) -> int:
 
 def cmd_train_cls(args) -> int:
     out = _make_out(args.out, is_file=True)
-    if args.cohort:
-        samples = list(_cohort_samples(Path(args.cohort), args.per_video))
-    else:
-        samples = phantom.training_stills(args.seed, args.stills)
-    model = train_centroid(samples, beta=args.beta)
+    model = train_centroid(_training_samples(args), beta=args.beta)
     _write_replacing(out, model.save)
     print(f"model with {len(model.centroids)} centroids written to {out}")
     return EXIT_OK
@@ -431,8 +429,7 @@ def cmd_eval(args) -> int:
 
     out_dir = _make_out(args.out)
     _write_text(out_dir / "report.csv", evaluate.metrics_csv({variant: per_class}))
-    text = evaluate.summary_text({variant: per_class}, {variant: overall},
-                                 {variant: qc_stats})
+    text = evaluate.summary_text(variant, per_class, overall, qc_stats)
     fw_lines = ["", "frame-wise predicted fractions (mean over videos):"]
     for truth in CANONICAL_ORDER:
         if truth not in framewise:

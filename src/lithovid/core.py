@@ -24,10 +24,10 @@ SCORE_SUM_TOL = 1e-9
 class MorphClass(Enum):
     """The five recognized stone types.
 
-    Pure types carry one component, mixed types two. The canonical
-    order Ia, IIb, IIIb, IaIIb, IaIIIb (rank 0 to 4) is the deterministic
-    tie-break used everywhere a tie can occur; classes are ordered by
-    rank, never compared directly.
+    Pure types carry one component, mixed types two. The declaration
+    order Ia, IIb, IIIb, IaIIb, IaIIIb (rank 0 to 4) is the canonical
+    order, the deterministic tie-break used everywhere a tie can occur;
+    classes are ordered by rank, never compared directly.
     """
 
     IA = "Ia"
@@ -63,21 +63,14 @@ class MorphClass(Enum):
     @classmethod
     def from_tag(cls, tag: str) -> "MorphClass":
         try:
-            return _BY_TAG[tag]
-        except KeyError:
+            return cls(tag)
+        except ValueError:
             raise ValidationError(f"unknown morphology tag {tag!r}") from None
 
 
-CANONICAL_ORDER: tuple[MorphClass, ...] = (
-    MorphClass.IA,
-    MorphClass.IIB,
-    MorphClass.IIIB,
-    MorphClass.IA_IIB,
-    MorphClass.IA_IIIB,
-)
+CANONICAL_ORDER: tuple[MorphClass, ...] = tuple(MorphClass)
 
 _RANK = {c: i for i, c in enumerate(CANONICAL_ORDER)}
-_BY_TAG = {c.value: c for c in CANONICAL_ORDER}
 _COMPONENTS = {
     MorphClass.IA: frozenset({MorphClass.IA}),
     MorphClass.IIB: frozenset({MorphClass.IIB}),

@@ -8,16 +8,12 @@ wins. Ties resolve by canonical class order at every tier.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import CANONICAL_ORDER, DecisionPath, MorphClass
+from .core import CANONICAL_ORDER, DecisionPath, MorphClass, argmax_scores
 from .errors import EmptyList, ValidationError
-
-_UNION_MEMBERS = {
-    MorphClass.IA_IIB: (MorphClass.IA, MorphClass.IIB, MorphClass.IA_IIB),
-    MorphClass.IA_IIIB: (MorphClass.IA, MorphClass.IIIB, MorphClass.IA_IIIB),
-}
 
 
 @dataclass(frozen=True)
@@ -42,12 +38,8 @@ class LabelCensus:
 
     @classmethod
     def from_labels(cls, labels: Iterable[MorphClass]) -> "LabelCensus":
-        counts = {c: 0 for c in CANONICAL_ORDER}
-        n = 0
-        for label in labels:
-            counts[label] += 1
-            n += 1
-        if n == 0:
+        counts = Counter(labels)
+        if not counts:
             raise EmptyList("no labels to aggregate")
         return cls(counts=counts)
 
@@ -57,25 +49,16 @@ def decide(census: LabelCensus) -> tuple[MorphClass, DecisionPath]:
     counts = census.counts
     total = census.total
 
-    for c in CANONICAL_ORDER:
-        if 2 * counts[c] > total:
-            return c, DecisionPath.MAJORITY
+    top = argmax_scores(counts)
+    if 2 * counts[top] > total:
+        return top, DecisionPath.MAJORITY
 
-    union_hits: list[tuple[int, MorphClass]] = []
-    for mixed in (MorphClass.IA_IIB, MorphClass.IA_IIIB):
-        pooled = sum(counts[m] for m in _UNION_MEMBERS[mixed])
-        if 2 * pooled > total:
-            union_hits.append((pooled, mixed))
-    if union_hits:
-        best = max(n for n, _ in union_hits)
-        winners = [mixed for n, mixed in union_hits if n == best]
-        return min(winners, key=lambda c: c.rank), DecisionPath.MIXED_UNION
-
-    best_count = max(counts.values())
-    for c in CANONICAL_ORDER:
-        if counts[c] == best_count:
-            return c, DecisionPath.FALLBACK
-    raise AssertionError("unreachable")
+    pools = {m: counts[m] + sum(counts[c] for c in m.components)
+             for m in CANONICAL_ORDER if m.is_mixed}
+    mixed = argmax_scores(pools)
+    if 2 * pools[mixed] > total:
+        return mixed, DecisionPath.MIXED_UNION
+    return top, DecisionPath.FALLBACK
 
 
 def decide_labels(labels: Iterable[MorphClass]) -> tuple[MorphClass, DecisionPath]:

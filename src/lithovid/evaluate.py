@@ -291,28 +291,22 @@ def metrics_csv(
 
 
 def summary_text(
-    blocks: Mapping[Variant, Mapping[MorphClass, ClassMetrics]],
-    overall: Mapping[Variant, Mapping[str, MeanStd]],
-    qc_stats: Optional[Mapping[Variant, MeanStd]] = None,
+    variant: Variant,
+    per_class: Mapping[MorphClass, ClassMetrics],
+    overall: Mapping[str, MeanStd],
+    qc_stats: MeanStd,
 ) -> str:
-    """Paper-style table: integer percents, mean +- sample std overall."""
-    lines = []
-    header = "metric                " + "".join(f"{c.tag:>9}" for c in CANONICAL_ORDER) + "   overall"
-    for variant in Variant:
-        if variant not in blocks:
-            continue
-        lines.append(f"== variant: {variant.value} ==")
-        lines.append(header)
-        for name in METRIC_NAMES:
-            row = f"{name:<22}"
-            for c in CANONICAL_ORDER:
-                row += f"{round_half_up_percent(getattr(blocks[variant][c], name)):>9}"
-            ms = overall[variant][name]
-            row += f"   {ms.rounded[0]} +- {ms.rounded[1]}"
-            lines.append(row)
-        if qc_stats and variant in qc_stats:
-            ms = qc_stats[variant]
-            lines.append(f"qc pass fraction       {ms.rounded[0]} +- {ms.rounded[1]} %")
-        lines.append("")
-    return "\n".join(lines)
-
+    """Paper-style table for one variant: integer percents, mean +- sample std overall."""
+    lines = [
+        f"== variant: {variant.value} ==",
+        "metric                " + "".join(f"{c.tag:>9}" for c in CANONICAL_ORDER) + "   overall",
+    ]
+    for name in METRIC_NAMES:
+        row = f"{name:<22}"
+        for c in CANONICAL_ORDER:
+            row += f"{round_half_up_percent(getattr(per_class[c], name)):>9}"
+        ms = overall[name]
+        row += f"   {ms.rounded[0]} +- {ms.rounded[1]}"
+        lines.append(row)
+    lines.append(f"qc pass fraction       {qc_stats.rounded[0]} +- {qc_stats.rounded[1]} %")
+    return "\n".join(lines) + "\n"

@@ -241,8 +241,7 @@ def _geometry_for_seed(seed: int) -> _Geometry:
     )
 
 
-_XS = np.arange(SIDE, dtype=np.float32)
-_YS = np.arange(SIDE, dtype=np.float32)
+_AXIS = np.arange(SIDE, dtype=np.float32)  # pixel coordinates along either axis
 _GY, _GX = np.mgrid[0:SIDE, 0:SIDE].astype(np.float32)
 # radial falloff, one copy per channel so the per-frame multiply stays contiguous
 _VIGNETTE = np.repeat((1.0 - 0.16 * np.clip(
@@ -281,8 +280,8 @@ def _background(spec: PhantomSpec, index: int, shift: tuple[float, float]) -> np
     pal = spec.background
     phase = _background_phase(spec.seed)
     t = index / STREAM_FPS
-    col = np.sin(2 * math.pi * (_XS - shift[0]) / 97.0 + phase[0])
-    row = np.sin(2 * math.pi * (_YS - shift[1]) / 83.0 + phase[1] + 0.25 * math.sin(
+    col = np.sin(2 * math.pi * (_AXIS - shift[0]) / 97.0 + phase[0])
+    row = np.sin(2 * math.pi * (_AXIS - shift[1]) / 83.0 + phase[1] + 0.25 * math.sin(
         2 * math.pi * t / 11.0 + phase[2]))
     shading = np.outer(row, col)
     shading *= pal.ripple

@@ -32,6 +32,9 @@ from .errors import (
 
 MANIFEST_NAME = "manifest.json"
 MIN_FRAME_SIDE = 16
+# the 8 Hz stream repeats each native frame for as long as it lasts, so a rate near 0 asks
+# for an unbounded stream (1e-300 fps: ~1e301 frames); here a frame fills at most 1 s
+MIN_NATIVE_FPS = 1.0
 # run writes <video_id>.json through the temp file .<video_id>.json.<pid>.tmp; with a pid
 # of up to 7 digits that name must fit in a 255-byte file name
 MAX_VIDEO_ID_BYTES = 255 - len("..json.1234567.tmp")
@@ -70,8 +73,8 @@ class RawVideo:
     truth_label: Optional[MorphClass] = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.native_fps < math.inf:
-            raise ValidationError(f"native_fps must be positive and finite, got {self.native_fps}")
+        if not MIN_NATIVE_FPS <= self.native_fps < math.inf:
+            raise ValidationError(f"native_fps {self.native_fps} is not in [{MIN_NATIVE_FPS}, inf)")
         eager = not isinstance(self.frames, LazySequence)
         frames = tuple(self.frames) if eager else self.frames
         for i, f in enumerate(frames if eager else ()):
@@ -179,20 +182,20 @@ def normalize_mask(mask: np.ndarray) -> StoneMask:
 # -- portable pixmap / graymap I/O ------------------------------------------
 
 
-def write_ppm(path: Path, img: np.ndarray) -> None:
-    arr = np.ascontiguousarray(img, dtype=np.uint8)
+def _write_pnm(path: Path, magic: str, arr: np.ndarray) -> None:
+    arr = np.ascontiguousarray(arr, dtype=np.uint8)
     h, w = arr.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
         fh.write(arr.tobytes())
 
 
+def write_ppm(path: Path, img: np.ndarray) -> None:
+    _write_pnm(path, "P6", img)
+
+
 def write_pgm(path: Path, mask: np.ndarray) -> None:
-    bits = np.ascontiguousarray(np.where(np.asarray(mask, dtype=bool), 255, 0).astype(np.uint8))
-    h, w = bits.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(bits.tobytes())
+    _write_pnm(path, "P5", np.where(np.asarray(mask, dtype=bool), 255, 0))
 
 
 def _parse_pnm_header(path: Path, data: bytes, magic: bytes) -> tuple[int, int, int]:
@@ -332,10 +335,13 @@ def read_manifest(manifest_path: Path) -> Manifest:
         raise CorruptManifest(f"{path}: {exc}") from None
     try:
         video_id = manifest["video_id"]
-        native_fps = float(manifest["native_fps"])
+        native_fps = manifest["native_fps"]
         entries = manifest["frames"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptManifest(f"{path} is missing required fields ({exc})") from None
+        if isinstance(native_fps, bool) or not isinstance(native_fps, (int, float)):
+            raise TypeError(f"native_fps must be a JSON number, got {native_fps!r}")
+        native_fps = float(native_fps)  # OverflowError: an integer beyond the float range
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise CorruptManifest(f"{path} has a missing or mistyped field ({exc})") from None
     # run names its outputs after video_id, so it must be one file name inside their directory
     try:
         usable = (isinstance(video_id, str) and video_id not in ("", ".", "..")

@@ -155,11 +155,7 @@ def run_full_execution() -> Execution:
     per_class = all_class_metrics(tally)
     overall = overall_scores(per_class)
     csv_text = metrics_csv({Variant.FULL: per_class})
-    text = summary_text(
-        {Variant.FULL: per_class},
-        {Variant.FULL: overall},
-        {Variant.FULL: qc_pass_stats([tl for _, tl in pairs])},
-    )
+    text = summary_text(Variant.FULL, per_class, overall, qc_pass_stats([tl for _, tl in pairs]))
     hasher.update(csv_text.encode())
     hasher.update(text.encode())
     ex.clean = {

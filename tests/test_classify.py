@@ -325,9 +325,8 @@ class TestCentroidModel:
             small_model.predict(rand_frame(), StoneMask(np.zeros((256, 256), bool)))
 
     def test_not_trained(self):
-        model = CentroidModel(centroids={IA: np.full(528, 1 / 528)})
-        with pytest.raises(NotTrained):
-            model.predict(*make_still(IA, 1))
+        with pytest.raises(NotTrained, match="^model lacks centroids for: IIb, IIIb, IaIIb"):
+            CentroidModel(centroids={IA: np.full(528, 1 / 528)})
 
     def test_held_out_accuracy(self, small_model):
         held = training_stills(123, 10)

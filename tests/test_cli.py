@@ -489,6 +489,45 @@ class TestRunCommand:
         assert code == 2
         assert "native_fps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("fps", [True, "8", 10**400, 1e-300, 0.001, 0.5],
+                             ids=["true", "string", "beyond-float", "1e-300", "0.001", "0.5"])
+    def test_bad_native_fps_spares_the_rest(self, workspace, tmp_path, workers, fps):
+        """run goes in a child under a time limit: a rate near 0 asks for an endless stream."""
+        import shutil
+        import signal
+        import subprocess
+        import sys
+
+        import lithovid
+
+        videos = tmp_path / "cohort"
+        shutil.copytree(workspace / "cohort", videos)
+        bad = videos / "IIb-clean-000"
+        edit_json(bad / "manifest.json", bad / "manifest.json", lambda p: p.update(native_fps=fps))
+        out = tmp_path / "out"
+        code = "import sys; from lithovid.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = {**os.environ, "LITHO_WORKERS": workers,
+               "PYTHONPATH": str(Path(lithovid.__file__).parents[1])}
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, "run", "--videos", str(videos), "--out", str(out),
+             "--model", str(workspace / "model.json")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            _, err = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                os.killpg(child.pid, signal.SIGKILL)  # the child and its pool workers
+                child.communicate()
+        assert child.returncode == 2
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and "native_fps" in err[0]
+        written = sorted(p.name for p in out.glob("*.json"))
+        assert len(written) == 4 and f"{bad.name}.json" not in written
+        for name in written:
+            assert (out / name).read_bytes() == (workspace / "timelines" / name).read_bytes()
+
     def test_qc_threshold_overrides(self, workspace, tmp_path):
         out = tmp_path / "strict"
         assert main(["run", "--videos", str(workspace / "cohort"), "--out", str(out),
@@ -594,13 +633,15 @@ class TestInputBoundaries:
         lambda p: p.update(beta="x"),
         lambda p: p.update(beta=math.nan),
         lambda p: p["centroids"]["IIb"].__setitem__(3, math.inf),
-    ], ids=["beta-string", "beta-nan", "centroid-inf"])
+        lambda p: p["centroids"].pop("IaIIIb"),
+    ], ids=["beta-string", "beta-nan", "centroid-inf", "class-missing"])
     def test_bad_model_is_data_error(self, workspace, tmp_path, capsys, change):
         model = edit_json(workspace / "model.json", tmp_path / "model.json", change)
         code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
                      "--out", str(tmp_path / "o"), "--model", str(model)])
         assert code == 2
-        assert str(model) in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot load model from {model}")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("change", [

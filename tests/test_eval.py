@@ -301,10 +301,12 @@ class TestReports:
         assert lines[1].startswith("full,Ia,85.00,80.00,90.00,70.00,74.60")
 
     def test_summary_contains_mean_std(self):
-        blocks = self.blocks()
-        text = summary_text(blocks, {Variant.FULL: overall_scores(blocks[Variant.FULL])})
+        per_class = self.blocks()[Variant.FULL]
+        text = summary_text(Variant.FULL, per_class, overall_scores(per_class),
+                            MeanStd(mean=0.625, std=0.125))
         assert "variant: full" in text
         assert "85 +- 0" in text
+        assert "qc pass fraction       63 +- 13 %" in text
 
 
 class TestPhantomCohortStatistics:

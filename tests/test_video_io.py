@@ -104,7 +104,8 @@ class TestResample:
         with pytest.raises(EmptyVideo):
             stream_indices(RawVideo(video_id="e", native_fps=10.0, frames=()))
 
-    @pytest.mark.parametrize("fps", [0.0, -8.0, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("fps", [0.0, -8.0, float("nan"), float("inf"), float("-inf"),
+                                     1e-300, 0.001, 0.5])  # the last three: below the floor
     def test_rejects_native_fps_outside_positive_finite(self, fps):
         with pytest.raises(ValidationError, match="native_fps"):
             gradient_video(4, fps)
@@ -219,6 +220,14 @@ class TestPnmIO:
         path = tmp_path / "m.pgm"
         write_pgm(path, mask)
         assert np.array_equal(read_pgm(path) > 127, mask)
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        img = np.arange(18, dtype=np.uint8).reshape(2, 3, 3)
+        mask = np.array([[1, 0, 1], [0, 1, 0]], dtype=bool)
+        write_ppm(tmp_path / "x.ppm", img)
+        write_pgm(tmp_path / "m.pgm", mask)
+        assert (tmp_path / "x.ppm").read_bytes() == b"P6\n3 2\n255\n" + bytes(range(18))
+        assert (tmp_path / "m.pgm").read_bytes() == b"P5\n3 2\n255\n\xff\x00\xff\x00\xff\x00"
 
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "bad.ppm"
