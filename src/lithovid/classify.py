@@ -8,7 +8,6 @@ for per-frame score files produced by any external network.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +28,8 @@ from .errors import (
     ScoreSumViolation,
     UnknownClass,
     ValidationError,
+    read_csv,
+    read_json,
 )
 
 RGB_BINS = 8          # per channel, 8x8x8 = 512 color bins
@@ -159,15 +160,10 @@ class CentroidModel:
 
     @classmethod
     def load(cls, path: Path) -> "CentroidModel":
-        try:
-            payload = json.loads(Path(path).read_text("utf-8"))
-            centroids = {
-                MorphClass.from_tag(tag): np.array(vec, dtype=np.float64)
-                for tag, vec in payload["centroids"].items()
-            }
-            return cls(centroids=centroids, beta=float(payload["beta"]))
-        except (OSError, ValueError, KeyError, TypeError, ValidationError, NotTrained) as exc:
-            raise NotTrained(f"cannot load model from {path}: {exc}") from None
+        return read_json(path, NotTrained, "cannot load model from", lambda payload: cls(
+            centroids={MorphClass.from_tag(tag): np.array(vec, dtype=np.float64)
+                       for tag, vec in payload["centroids"].items()},
+            beta=float(payload["beta"])))
 
 
 def train_centroid(
@@ -221,11 +217,7 @@ def import_scores(path: Path) -> dict[int, dict[MorphClass, float]]:
     bit-faithfully.
     """
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise MalformedRow(f"cannot read scores {path}: {exc}") from None
+    rows = read_csv(path, MalformedRow, "cannot read scores")
     if not rows:
         raise MalformedRow(f"{path} is empty")
     header = rows[0]

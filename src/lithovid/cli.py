@@ -14,9 +14,7 @@ invariant violation. LITHO_WORKERS caps per-video parallelism in `run`.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -39,11 +37,14 @@ from .classify import (
 from .core import CANONICAL_ORDER, FRAME_SIDE, FrameGrid, MorphClass, StoneMask
 from .core import VideoTimeline
 from .errors import (
+    BAD_INPUT,
     CorruptManifest,
     DimensionMismatch,
     LithovidError,
     NoTruthAvailable,
     ValidationError,
+    read_csv,
+    read_json,
 )
 from .pipeline import Variant, run_timeline
 from .qc import QcConfig
@@ -104,15 +105,8 @@ def _config_argv(args) -> list[str]:
     main parses them ahead of the flags given, so argparse checks config
     values as it checks flags, and flags win. JSON null means not given.
     """
-    p = Path(args.config)
-    if not p.is_file():
-        raise LithovidError(f"config file not found: {p}")
-    try:
-        payload = json.loads(p.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise LithovidError(f"config {p} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise LithovidError(f"config {p} must be a JSON object")
+    # {**p} raises a TypeError unless the config is a JSON object
+    payload = read_json(args.config, LithovidError, "config", lambda p: {**p})
     unknown = set(payload) - (set(vars(args)) - {"command", "func", "config"})
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -368,7 +362,8 @@ def cmd_run(args) -> int:
     if workers == 1:
         results = [job(d) for d in video_dirs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all its workers on the first task, needed or not
+        with ProcessPoolExecutor(max_workers=min(workers, len(video_dirs))) as pool:
             results = list(pool.map(job, video_dirs))
     errors = [e for e in results if e is not None]
     for error in errors:
@@ -382,7 +377,7 @@ def _load_timelines(timeline_dir: Path):
     for path in sorted(Path(timeline_dir).glob("*.json")):
         try:
             out.append((path, *evaluate.timeline_from_json(path.read_text("utf-8"))))
-        except (LithovidError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except BAD_INPUT as exc:
             raise LithovidError(f"{path} is not a valid timeline: {exc!r}") from None
     if not out:
         raise LithovidError(f"no timeline files under {timeline_dir}")
@@ -447,28 +442,22 @@ def _read_metrics(path: Path) -> list[list[str]]:
     """Rows of a metrics CSV in the layout evaluate.metrics_csv writes."""
     header = list(evaluate.METRICS_HEADER)
     names = {v.value for v in Variant}
-    rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != header:
-                raise LithovidError(f"{path}:1: header is not {','.join(header)}")
-            for row in reader:
-                where = f"{path}:{reader.line_num}"
-                if len(row) != len(header):
-                    raise LithovidError(f"{where}: {len(row)} fields, expected {len(header)}")
-                if row[0] not in names:
-                    raise LithovidError(f"{where}: unknown variant {row[0]!r}")
-                try:
-                    finite = all(math.isfinite(float(v)) for v in row[2:])
-                except ValueError:
-                    finite = False
-                if not finite:
-                    raise LithovidError(f"{where}: metric values must be finite numbers")
-                rows.append(row)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise LithovidError(f"cannot read metrics file {path}: {exc}") from None
-    return rows
+    rows = read_csv(path, LithovidError, "cannot read metrics file")
+    if rows[:1] != [header]:
+        raise LithovidError(f"{path}:1: header is not {','.join(header)}")
+    for line, row in enumerate(rows[1:], start=2):
+        where = f"{path}:{line}"
+        if len(row) != len(header):
+            raise LithovidError(f"{where}: {len(row)} fields, expected {len(header)}")
+        if row[0] not in names:
+            raise LithovidError(f"{where}: unknown variant {row[0]!r}")
+        try:
+            finite = all(math.isfinite(float(v)) for v in row[2:])
+        except ValueError:
+            finite = False
+        if not finite:
+            raise LithovidError(f"{where}: metric values must be finite numbers")
+    return rows[1:]
 
 
 def cmd_report(args) -> int:

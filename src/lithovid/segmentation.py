@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import FrameGrid, StoneMask
-from .errors import DimensionMismatch, NoTruthAvailable, NotCalibrated, ValidationError
+from .errors import DimensionMismatch, NoTruthAvailable, NotCalibrated, ValidationError, read_json
 
 BCE_EPS = 1e-7
 
@@ -213,16 +213,12 @@ class ChromaSegmenter:
 
     @classmethod
     def load(cls, path: Path) -> "ChromaSegmenter":
-        try:
-            payload = json.loads(Path(path).read_text("utf-8"))
-            return cls(
-                background_mean=np.array(payload["background_mean"], dtype=np.float64),
-                background_cov=np.array(payload["background_cov"], dtype=np.float64),
-                tau=float(payload["tau"]),
-                min_component_px=int(payload.get("min_component_px", 64)),
-            )
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise NotCalibrated(f"cannot load calibration from {path}: {exc}") from None
+        return read_json(path, NotCalibrated, "cannot load calibration from", lambda payload: cls(
+            background_mean=np.array(payload["background_mean"], dtype=np.float64),
+            background_cov=np.array(payload["background_cov"], dtype=np.float64),
+            tau=float(payload["tau"]),
+            min_component_px=int(payload.get("min_component_px", 64)),
+        ))
 
 
 COV_RIDGE = 4.0  # keeps the background model invertible on flat scenes

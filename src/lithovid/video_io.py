@@ -12,6 +12,7 @@ import json
 import math
 import operator
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .errors import (
     MissingFrame,
     TooSmall,
     ValidationError,
+    read_json,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -226,44 +228,32 @@ def _parse_pnm_header(path: Path, data: bytes, magic: bytes) -> tuple[int, int, 
     return w, h, pos
 
 
-def _read_pnm(path: Path, magic: bytes, channels: int) -> np.ndarray:
-    if not path.is_file():
-        raise MissingFrame(f"frame file not found: {path}")
-    data = path.read_bytes()
-    w, h, pos = _parse_pnm_header(path, data, magic)
-    expected = w * h * channels
-    if len(data) - pos < expected:
-        raise CorruptManifest(f"{path} raster is truncated")
-    arr = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)  # a view, no copy
-    if channels == 1:
-        return arr.reshape(h, w)
-    return arr.reshape(h, w, channels)
-
-
 _HEADER_PROBE = 4096
 
 
-def _pnm_shape(path: Path, magic: bytes, channels: int) -> tuple[int, ...]:
-    """Shape _read_pnm would return, after the same checks, without the raster.
-
-    Reads only the header and takes the length from the file size.
-    """
+def _read_pnm(path: Path, magic: bytes, channels: int, raster: bool = True):
+    """The raster of a binary PNM file as a read-only view, or with raster=False its shape
+    after the same checks: then only the header is read (past a 4 KB probe only for long
+    comments) and the raster's length is taken from the file size."""
     if not path.is_file():
         raise MissingFrame(f"frame file not found: {path}")
     with open(path, "rb") as fh:
-        data = fh.read(_HEADER_PROBE)
+        data = fh.read(-1 if raster else _HEADER_PROBE)
         try:
             w, h, pos = _parse_pnm_header(path, data, magic)
             complete = pos <= len(data)
         except CorruptManifest:
             complete = False
-        if not complete:  # the header may run past the probe (long comments)
+        if not complete:  # the header may run past the probe
             data += fh.read()
             w, h, pos = _parse_pnm_header(path, data, magic)
-        size = os.fstat(fh.fileno()).st_size
+        size = len(data) if raster else os.fstat(fh.fileno()).st_size
+    shape = (h, w) if channels == 1 else (h, w, channels)
     if size < pos + w * h * channels:
         raise CorruptManifest(f"{path} raster is truncated")
-    return (h, w) if channels == 1 else (h, w, channels)
+    if not raster:
+        return shape
+    return np.frombuffer(data, dtype=np.uint8, count=w * h * channels, offset=pos).reshape(shape)
 
 
 def read_ppm(path: Path) -> np.ndarray:
@@ -318,8 +308,9 @@ class Manifest(NamedTuple):
 def read_manifest(manifest_path: Path) -> Manifest:
     """Parse and check a manifest (a manifest file or its directory) without opening frames.
 
-    Every error is a CorruptManifest naming the file: missing or mistyped
-    fields, a video_id that is not a usable file name, a frame entry that
+    Every error is a CorruptManifest naming the file: a file errors.read_json
+    rejects, missing or mistyped fields, a native_fps that is not a finite
+    number, a video_id that is not a usable file name, a frame entry that
     is not an object with a string file (and string truth_mask /
     truth_label), an unknown truth_label tag, or truth labels that
     disagree across frames.
@@ -327,51 +318,42 @@ def read_manifest(manifest_path: Path) -> Manifest:
     path = Path(manifest_path)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    if not path.is_file():
-        raise CorruptManifest(f"manifest not found: {path}")
-    try:
-        manifest = json.loads(path.read_text("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptManifest(f"{path}: {exc}") from None
-    try:
-        video_id = manifest["video_id"]
-        native_fps = manifest["native_fps"]
+
+    def build(manifest: dict) -> Manifest:
+        video_id, native_fps = manifest["video_id"], manifest["native_fps"]
         entries = manifest["frames"]
-        if isinstance(native_fps, bool) or not isinstance(native_fps, (int, float)):
-            raise TypeError(f"native_fps must be a JSON number, got {native_fps!r}")
-        native_fps = float(native_fps)  # OverflowError: an integer beyond the float range
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise CorruptManifest(f"{path} has a missing or mistyped field ({exc})") from None
-    # run names its outputs after video_id, so it must be one file name inside their directory
-    try:
-        usable = (isinstance(video_id, str) and video_id not in ("", ".", "..")
-                  and "/" not in video_id and "\0" not in video_id
-                  and len(video_id.encode("utf-8")) <= MAX_VIDEO_ID_BYTES)
-    except UnicodeEncodeError:  # a lone surrogate from a JSON escape
-        usable = False
-    if not usable:
-        raise CorruptManifest(f"{path}: video_id must be a file name of 1 to "
-                              f"{MAX_VIDEO_ID_BYTES} bytes, got {video_id!r}")
-    if not isinstance(entries, list):
-        raise CorruptManifest(f"{path}: frames must be a list")
-    masks, labels = [], set()
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
-            raise CorruptManifest(f"{path}: frame entry {i} is not an object with a string file")
-        mask, tag = entry.get("truth_mask"), entry.get("truth_label")
-        if not all(v is None or isinstance(v, str) for v in (mask, tag)):
-            raise CorruptManifest(f"{path}: frame entry {i} has a truth_mask or truth_label "
-                                  "that is not a string")
-        masks.append(mask or None)
-        if tag:
-            try:
+        # type(), not isinstance: JSON true is a bool, and a bool is an int
+        if type(native_fps) not in (int, float) or not abs(native_fps) <= sys.float_info.max:
+            raise CorruptManifest(f"native_fps must be a finite JSON number, got {native_fps!r}")
+        # run names its outputs after video_id, so it must be one file name inside their directory
+        try:
+            usable = (isinstance(video_id, str) and video_id not in ("", ".", "..")
+                      and "/" not in video_id and "\0" not in video_id
+                      and len(video_id.encode("utf-8")) <= MAX_VIDEO_ID_BYTES)
+        except UnicodeEncodeError:  # a lone surrogate from a JSON escape
+            usable = False
+        if not usable:
+            raise CorruptManifest(f"video_id must be a file name of 1 to {MAX_VIDEO_ID_BYTES} "
+                                  f"bytes, got {video_id!r}")
+        if not isinstance(entries, list):
+            raise CorruptManifest("frames must be a list")
+        masks, labels = [], set()
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
+                raise CorruptManifest(f"frame entry {i} is not an object with a string file")
+            mask, tag = entry.get("truth_mask"), entry.get("truth_label")
+            if not all(v is None or isinstance(v, str) for v in (mask, tag)):
+                raise CorruptManifest(f"frame entry {i} has a truth_mask or truth_label "
+                                      "that is not a string")
+            masks.append(mask or None)
+            if tag:
                 labels.add(MorphClass.from_tag(tag))
-            except ValidationError as exc:
-                raise CorruptManifest(f"{path}: {exc}") from None
-    if len(labels) > 1:
-        raise CorruptManifest(f"{path}: inconsistent truth labels across frames")
-    return Manifest(path, video_id, native_fps, tuple(e["file"] for e in entries), tuple(masks),
-                    labels.pop() if labels else None)
+        if len(labels) > 1:
+            raise CorruptManifest("inconsistent truth labels across frames")
+        return Manifest(path, video_id, float(native_fps), tuple(e["file"] for e in entries),
+                        tuple(masks), labels.pop() if labels else None)
+
+    return read_json(path, CorruptManifest, "manifest", build)
 
 
 def load_stream(manifest_path: Path) -> RawVideo:
@@ -386,12 +368,12 @@ def load_stream(manifest_path: Path) -> RawVideo:
     base = m.path.parent
     shapes: list[tuple[int, ...]] = []
     for i, (name, mask) in enumerate(zip(m.files, m.masks)):
-        shapes.append(_pnm_shape(base / name, b"P6", 3))
+        shapes.append(_read_pnm(base / name, b"P6", 3, raster=False))
         if shapes[-1] != shapes[0]:
             raise DimensionMismatch(
                 f"{m.path}: frame {i} has shape {shapes[-1][:2]}, expected {shapes[0][:2]}"
             )
-        if mask and _pnm_shape(base / mask, b"P5", 1) != shapes[-1][:2]:
+        if mask and _read_pnm(base / mask, b"P5", 1, raster=False) != shapes[-1][:2]:
             raise DimensionMismatch(f"truth mask {i} does not match its frame")
 
     def read_mask(k: int) -> Optional[np.ndarray]:

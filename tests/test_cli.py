@@ -369,6 +369,37 @@ class TestRunCommand:
         assert str(first) in err[0] and str(second) in err[0] and "Ia-clean-000" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_videos", [1, 5])
+    def test_pool_is_no_larger_than_the_cohort(self, workspace, tmp_path, monkeypatch, n_videos):
+        """A fork pool starts all its workers on its first task, so the size asked for counts."""
+        from lithovid import cli
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("LITHO_WORKERS", "64")
+        videos = workspace / "cohort" if n_videos == 5 else one_video(workspace, tmp_path / "v")
+        out = tmp_path / "o"
+        assert main(["run", "--videos", str(videos), "--out", str(out),
+                     "--model", str(workspace / "model.json")]) == 0
+        assert sizes == [n_videos]
+        for path in out.iterdir():
+            assert path.read_bytes() == (workspace / "timelines" / path.name).read_bytes()
+        assert len(list(out.iterdir())) == n_videos
+
     def test_run_holds_one_native_frame_at_a_time(self, workspace, tmp_path, monkeypatch):
         import weakref
 
@@ -757,6 +788,96 @@ class TestInputBoundaries:
         assert code == 2
         err = capsys.readouterr().err
         assert str(manifest) in err and "inconsistent truth labels" in err
+
+
+# JSON that Python's parser rejects with other than a JSONDecodeError: nesting past the
+# recursion limit (RecursionError) and an integer past the 4,300-digit limit (ValueError)
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+LONG_INT = "9" * 5000
+
+
+class TestUnreadableInputFiles:
+    """Each input file that cannot be read as its format is a data error naming the file."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("value", [LONG_INT, DEEP_JSON], ids=["5000-digit", "nested"])
+    def test_bad_manifest_spares_the_rest(self, workspace, tmp_path, capsys, monkeypatch,
+                                          workers, value):
+        import shutil
+
+        videos = tmp_path / "cohort"
+        shutil.copytree(workspace / "cohort", videos)
+        bad = videos / "IIb-clean-000" / "manifest.json"
+        edit_json(bad, bad, lambda p: p.update(native_fps="@"))
+        bad.write_text(bad.read_text("utf-8").replace('"@"', value), "utf-8")
+        monkeypatch.setenv("LITHO_WORKERS", workers)
+        out = tmp_path / "out"
+        code = main(["run", "--videos", str(videos), "--out", str(out),
+                     "--model", str(workspace / "model.json")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad.parent}: manifest {bad}: ")
+        written = sorted(p.name for p in out.glob("*.json"))
+        assert len(written) == 4 and "IIb-clean-000.json" not in written
+        for name in written:
+            assert (out / name).read_bytes() == (workspace / "timelines" / name).read_bytes()
+
+    @pytest.mark.parametrize("content", [
+        b'{"variant": "no-qc\xff"}', b'{"min_dsc": ' + LONG_INT.encode() + b"}",
+        DEEP_JSON.encode(),
+    ], ids=["not-utf8", "5000-digit", "nested"])
+    def test_unreadable_config_is_data_error(self, workspace, tmp_path, capsys, content):
+        config = tmp_path / "run.json"
+        config.write_bytes(content)
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(config), "--videos", str(workspace / "cohort"),
+                     "--out", str(out), "--model", str(workspace / "model.json")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config {config}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"beta": 50.0, "centroids": []}', DEEP_JSON],
+                             ids=["centroids-list", "nested"])
+    def test_unreadable_model_is_data_error(self, workspace, tmp_path, capsys, text):
+        model = tmp_path / "model.json"
+        model.write_text(text, "utf-8")
+        out = tmp_path / "o"
+        code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
+                     "--out", str(out), "--model", str(model)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot load model from {model}: ")
+        assert not out.exists()
+
+    def test_nested_calibration_is_data_error(self, workspace, tmp_path, capsys):
+        cal = tmp_path / "cal.json"
+        cal.write_text(DEEP_JSON, "utf-8")
+        out = tmp_path / "o"
+        code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
+                     "--out", str(out), "--segmenter", "chroma", "--calibration", str(cal),
+                     "--model", str(workspace / "model.json")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot load calibration from {cal}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make", [Path.mkdir, lambda p: p.write_text(DEEP_JSON, "utf-8")],
+                             ids=["directory", "nested"])
+    def test_unreadable_timeline_is_data_error(self, workspace, tmp_path, capsys, make):
+        import shutil
+
+        timelines = tmp_path / "timelines"
+        shutil.copytree(workspace / "timelines", timelines)
+        bad = timelines / "x.json"
+        make(bad)
+        out = tmp_path / "o"
+        code = main(["eval", "--timelines", str(timelines), "--truth", str(workspace / "cohort"),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad} is not a valid timeline: ")
+        assert not out.exists()
 
 
 def timeline_like_json():

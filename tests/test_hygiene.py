@@ -11,6 +11,10 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # c05's reference training losses: the acceptance suite checks their gradients, and no
 # command trains a network with them
 UNREAD_ALLOWED = {"bce_loss_grad", "dice_loss_grad", "combined_loss"}
+# errors.read_json and errors.read_csv own the rule for a bad input file, so no other module
+# parses JSON or CSV itself; timeline_from_json parses text, which is how perfbench calls it
+PARSE_CALLS = {("json", "load"), ("json", "loads"), ("csv", "reader")}
+PARSE_ALLOWED = {"timeline_from_json"}
 
 
 def imported_names(tree):
@@ -168,3 +172,31 @@ def test_check_sees_unused_and_quoted_names():
         "    return math.pi\n"
     )
     assert unused_imports(source) == [("stream", 3)]
+
+
+def parse_calls(source):
+    """Line of each json.load(s) or csv.reader call outside the functions PARSE_ALLOWED names."""
+    return [node.lineno for top in ast.parse(source).body
+            if getattr(top, "name", None) not in PARSE_ALLOWED
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and (node.func.value.id, node.func.attr) in PARSE_CALLS]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_input_files_are_parsed_only_by_the_readers(path):
+    assert parse_calls(path.read_text("utf-8")) == []
+
+
+def test_parse_check_sees_calls():
+    source = (
+        "import csv, json\n"
+        "def timeline_from_json(text):\n"
+        "    return json.loads(text)\n"
+        "def other(fh):\n"
+        "    return json.load(fh), json.dumps(fh)\n"
+        "rows = list(csv.reader(open('x')))\n"
+    )
+    assert parse_calls(source) == [5, 6]

@@ -141,6 +141,48 @@ class TestResample:
         assert abs(len(picked) / 8.0 - n / fps) <= 1 / 8.0 + 1e-9
 
 
+def uint8_frames(*shapes):
+    return tuple(np.zeros(shape, np.uint8) for shape in shapes)
+
+
+class TestFrameChecks:
+    """RawVideo checks the frames and masks it is given; normalize_video checks each frame
+    a lazy sequence makes, when it is made."""
+
+    @pytest.mark.parametrize("bad", [np.zeros((20, 20, 3), np.float32),
+                                     np.zeros((20, 20), np.uint8)], ids=["float32", "2-D"])
+    def test_frame_that_is_not_hxwx3_uint8(self, bad):
+        with pytest.raises(ValidationError, match="^frame 1 must be HxWx3 uint8$"):
+            RawVideo(video_id="v", native_fps=8.0, frames=(*uint8_frames((20, 20, 3)), bad))
+
+    def test_frames_of_different_shapes(self):
+        with pytest.raises(DimensionMismatch, match=r"^frame 1 has shape \(20, 24\)"):
+            RawVideo(video_id="v", native_fps=8.0, frames=uint8_frames((20, 20, 3), (20, 24, 3)))
+
+    def test_mask_that_does_not_match_its_frame(self):
+        masks = (np.zeros((20, 20), bool), np.zeros((20, 21), bool))
+        with pytest.raises(DimensionMismatch, match="^truth mask 1 does not match its frame$"):
+            RawVideo(video_id="v", native_fps=8.0, frames=uint8_frames(*[(20, 20, 3)] * 2),
+                     truth_masks=masks)
+
+    @pytest.mark.parametrize("n_masks", [1, 3])
+    def test_mask_count_differs_from_frame_count(self, n_masks):
+        with pytest.raises(ValidationError, match="^truth_masks must align one-to-one"):
+            RawVideo(video_id="v", native_fps=8.0, frames=uint8_frames(*[(20, 20, 3)] * 2),
+                     truth_masks=(np.zeros((20, 20), bool),) * n_masks)
+
+    @pytest.mark.parametrize("bad", [np.zeros((20, 20, 3), np.float32),
+                                     np.zeros((20, 20), np.uint8)], ids=["float32", "2-D"])
+    def test_lazy_frame_is_checked_when_normalized(self, bad):
+        good, = uint8_frames((20, 20, 3))
+        video = RawVideo(video_id="v", native_fps=8.0,
+                         frames=LazySequence(2, lambda k: bad if k else good))
+        frames, _ = normalize_video(video)
+        assert frames[0].pixels.shape == (FRAME_SIDE, FRAME_SIDE, 3)
+        with pytest.raises(ValidationError, match="^frame 1 must be HxWx3 uint8$"):
+            frames[1]
+
+
 def normalize_one(img):
     """The only frame of the 8 Hz stream of a one-frame video."""
     frames, _ = normalize_video(RawVideo(video_id="one", native_fps=STREAM_FPS, frames=(img,)))
@@ -244,7 +286,7 @@ class TestPnmIO:
             for magic, channels, read in ((b"P6", 3, read_ppm), (b"P5", 1, read_pgm)):
                 outcomes = []
                 for probe in (lambda: read(path).shape,
-                              lambda: video_io._pnm_shape(path, magic, channels)):
+                              lambda: video_io._read_pnm(path, magic, channels, raster=False)):
                     try:
                         outcomes.append(probe())
                     except LithovidError as exc:
