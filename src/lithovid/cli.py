@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 import traceback
@@ -35,7 +34,6 @@ from .classify import (
     train_centroid,
 )
 from .core import CANONICAL_ORDER, FRAME_SIDE, FrameGrid, MorphClass, StoneMask
-from .core import VideoTimeline
 from .errors import (
     BAD_INPUT,
     CorruptManifest,
@@ -43,7 +41,6 @@ from .errors import (
     LithovidError,
     NoTruthAvailable,
     ValidationError,
-    read_csv,
     read_json,
 )
 from .pipeline import Variant, run_timeline
@@ -396,85 +393,38 @@ def _truth_lookup(truth_root: Optional[str]) -> dict[str, MorphClass]:
 
 def cmd_eval(args) -> int:
     loaded = _load_timelines(Path(args.timelines))
+    _require_unique_ids((timeline.video_id, path) for path, timeline, _, _ in loaded)
     truth_table = _truth_lookup(args.truth)
-    pairs = []
-    timelines = []
+    timelines, truths = [], []
     variant, variant_path = None, None
     for path, timeline, embedded_truth, tl_variant in loaded:
         truth = truth_table.get(timeline.video_id, embedded_truth)
         if truth is None:
             raise LithovidError(f"{path}: no ground-truth label for video {timeline.video_id!r}")
-        pairs.append((truth, timeline.decision))
-        timelines.append((timeline, truth))
+        timelines.append(timeline)
+        truths.append(truth)
         if tl_variant is not None:
             if variant not in (None, tl_variant):
                 raise LithovidError(f"{variant_path} is variant {variant.value} but {path} is "
                                     f"{tl_variant.value}; evaluate one variant at a time")
             variant, variant_path = tl_variant, path
     variant = variant or Variant.FULL
-
-    tally = evaluate.ConfusionTally.from_pairs(pairs)
-    per_class = evaluate.all_class_metrics(tally)
-    overall = evaluate.overall_scores(per_class)
-    qc_stats = evaluate.qc_pass_stats([tl for tl, _ in timelines])
-    groups: dict[MorphClass, list[VideoTimeline]] = {}
-    for tl, truth in timelines:
-        groups.setdefault(truth, []).append(tl)
-    framewise = evaluate.framewise_analysis(groups)
+    scores = evaluate.score_cohort(timelines, truths)
+    report = {"report.csv": evaluate.metrics_csv({variant: scores.per_class}),
+              "report.txt": evaluate.report_text(variant, scores)}
 
     out_dir = _make_out(args.out)
-    _write_text(out_dir / "report.csv", evaluate.metrics_csv({variant: per_class}))
-    text = evaluate.summary_text(variant, per_class, overall, qc_stats)
-    fw_lines = ["", "frame-wise predicted fractions (mean over videos):"]
-    for truth in CANONICAL_ORDER:
-        if truth not in framewise:
-            continue
-        row = f"  truth {truth.tag:<7}"
-        for c in CANONICAL_ORDER:
-            row += f" {c.tag}={framewise[truth][c].mean:.2f}"
-        fw_lines.append(row)
-    _write_text(out_dir / "report.txt", text + "\n".join(fw_lines) + "\n")
+    for name, text in report.items():
+        _write_text(out_dir / name, text)
     print(f"evaluation written to {out_dir}")
     return EXIT_OK
 
 
-def _read_metrics(path: Path) -> list[list[str]]:
-    """Rows of a metrics CSV in the layout evaluate.metrics_csv writes."""
-    header = list(evaluate.METRICS_HEADER)
-    names = {v.value for v in Variant}
-    rows = read_csv(path, LithovidError, "cannot read metrics file")
-    if rows[:1] != [header]:
-        raise LithovidError(f"{path}:1: header is not {','.join(header)}")
-    for line, row in enumerate(rows[1:], start=2):
-        where = f"{path}:{line}"
-        if len(row) != len(header):
-            raise LithovidError(f"{where}: {len(row)} fields, expected {len(header)}")
-        if row[0] not in names:
-            raise LithovidError(f"{where}: unknown variant {row[0]!r}")
-        try:
-            finite = all(math.isfinite(float(v)) for v in row[2:])
-        except ValueError:
-            finite = False
-        if not finite:
-            raise LithovidError(f"{where}: metric values must be finite numbers")
-    return rows[1:]
-
-
 def cmd_report(args) -> int:
-    rows = [row for path in args.inputs for row in _read_metrics(Path(path))]
+    combined_csv, combined_txt = evaluate.combined_report(evaluate.read_metrics(args.inputs))
     out_dir = _make_out(args.out)
-    lines = [",".join(row) for row in [evaluate.METRICS_HEADER, *rows]]
-    _write_text(out_dir / "combined.csv", "\n".join(lines) + "\n")
-
-    by_variant: dict[str, list[float]] = {}
-    for row in rows:
-        by_variant.setdefault(row[0], []).append(float(row[2]))
-    lines = ["mean balanced accuracy by variant:"]
-    for variant in Variant:
-        values = by_variant.get(variant.value)
-        if values:
-            lines.append(f"  {variant.value:<12} {sum(values) / len(values):6.2f} %")
-    _write_text(out_dir / "combined.txt", "\n".join(lines) + "\n")
+    _write_text(out_dir / "combined.csv", combined_csv)
+    _write_text(out_dir / "combined.txt", combined_txt)
     print(f"combined report written to {out_dir}")
     return EXIT_OK
 

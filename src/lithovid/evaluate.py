@@ -2,17 +2,19 @@
 
 Per-class one-vs-rest diagnostics (balanced accuracy, sensitivity,
 specificity, precision, F1), mean +- sample standard deviation across
-classes, frame-wise prediction analysis, QC pass-rate statistics and the
-three-variant ablation runner. Also owns the serialized report formats:
-per-video timeline JSON, metrics CSV and the text summary.
+classes, frame-wise prediction analysis, QC pass-rate statistics, the
+one cohort scorer and the three-variant ablation runner. Also owns every
+serialized report format, read and written: per-video timeline JSON,
+metrics CSV, the text summary and the combined report.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .classify import Classifier
 from .core import (
@@ -24,10 +26,22 @@ from .core import (
     QcVerdict,
     VideoTimeline,
 )
-from .errors import EmptyGroup, NoPositives, ValidationError
+from .decision import LabelCensus, decide
+from .errors import EmptyGroup, LithovidError, NoPositives, ValidationError, read_csv
 from .pipeline import Variant, run_raw_video
 
-METRIC_NAMES = ("balanced_accuracy", "sensitivity", "specificity", "precision", "f1")
+
+class ClassMetrics(NamedTuple):
+    """One class's one-vs-rest diagnostics, in report column order."""
+
+    balanced_accuracy: float
+    sensitivity: float
+    specificity: float
+    precision: float
+    f1: float
+
+
+METRIC_NAMES = ClassMetrics._fields
 METRICS_HEADER = ("variant", "class", *METRIC_NAMES)
 
 
@@ -45,68 +59,25 @@ def sample_std(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
 
 
-@dataclass(frozen=True)
-class ConfusionTally:
-    """Per-class one-vs-rest video counts (truth label vs final decision)."""
-
-    cells: Mapping[MorphClass, tuple[int, int, int, int]]  # tp, fn, fp, tn
-    n_videos: int
-
-    def __post_init__(self) -> None:
-        for c, (tp, fn, fp, tn) in self.cells.items():
-            if tp + fn + fp + tn != self.n_videos:
-                raise ValidationError(f"tally cells for {c.tag} do not sum to {self.n_videos}")
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: Sequence[tuple[MorphClass, Optional[MorphClass]]]
-    ) -> "ConfusionTally":
-        """pairs = (truth, decision); a missing decision predicts nothing."""
-        cells = {}
-        for c in CANONICAL_ORDER:
-            tp = sum(1 for t, p in pairs if t is c and p is c)
-            fn = sum(1 for t, p in pairs if t is c and p is not c)
-            fp = sum(1 for t, p in pairs if t is not c and p is c)
-            tn = sum(1 for t, p in pairs if t is not c and p is not c)
-            cells[c] = (tp, fn, fp, tn)
-        return cls(cells=cells, n_videos=len(pairs))
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    sensitivity: float
-    specificity: float
-    precision: float
-    balanced_accuracy: float
-    f1: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
-
-def class_metrics(tally: ConfusionTally, c: MorphClass) -> ClassMetrics:
-    tp, fn, fp, tn = tally.cells[c]
+def class_metrics(
+    pairs: Sequence[tuple[MorphClass, Optional[MorphClass]]], c: MorphClass
+) -> ClassMetrics:
+    """One-vs-rest metrics of class c; pairs = (truth, decision), a missing decision
+    predicts nothing."""
+    tp = sum(1 for t, p in pairs if t is c and p is c)
+    fn = sum(1 for t, p in pairs if t is c and p is not c)
+    fp = sum(1 for t, p in pairs if t is not c and p is c)
+    tn = len(pairs) - tp - fn - fp
     if tp + fn == 0:
         raise NoPositives(f"no videos of class {c.tag} in the cohort")
     sensitivity = tp / (tp + fn)
     specificity = tn / (tn + fp) if tn + fp > 0 else 0.0
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    balanced_accuracy = (sensitivity + specificity) / 2.0
     if precision + sensitivity > 0:
         f1 = 2.0 * precision * sensitivity / (precision + sensitivity)
     else:
         f1 = 0.0
-    return ClassMetrics(
-        sensitivity=sensitivity,
-        specificity=specificity,
-        precision=precision,
-        balanced_accuracy=balanced_accuracy,
-        f1=f1,
-    )
-
-
-def all_class_metrics(tally: ConfusionTally) -> dict[MorphClass, ClassMetrics]:
-    return {c: class_metrics(tally, c) for c in CANONICAL_ORDER}
+    return ClassMetrics((sensitivity + specificity) / 2.0, sensitivity, specificity, precision, f1)
 
 
 @dataclass(frozen=True)
@@ -145,15 +116,11 @@ def framewise_analysis(
             labels = tl.labels
             if not labels:
                 continue
+            counts = Counter(labels)
             for c in CANONICAL_ORDER:
-                fractions[c].append(sum(1 for l in labels if l is c) / len(labels))
-        out[truth] = {
-            c: MeanStd(
-                mean=sum(v) / len(v) if v else 0.0,
-                std=sample_std(v),
-            )
-            for c, v in fractions.items()
-        }
+                fractions[c].append(counts[c] / len(labels))
+        out[truth] = {c: MeanStd(mean=sum(v) / len(v) if v else 0.0, std=sample_std(v))
+                      for c, v in fractions.items()}
     return out
 
 
@@ -165,22 +132,27 @@ def qc_pass_stats(timelines: Sequence[VideoTimeline]) -> MeanStd:
     return MeanStd(mean=sum(fractions) / len(fractions), std=sample_std(fractions))
 
 
-# -- ablation -------------------------------------------------------------------
+# -- cohort scoring --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AblationResult:
+class CohortScores:
     timelines: tuple[VideoTimeline, ...]
     truths: tuple[MorphClass, ...]
     per_class: Mapping[MorphClass, ClassMetrics]
     overall: Mapping[str, MeanStd]
 
 
-def run_ablation(
-    videos,
-    segmenter_factory: Callable,
-    classifier: Classifier,
-) -> dict[Variant, AblationResult]:
+def score_cohort(timelines: Sequence[VideoTimeline], truths: Sequence[MorphClass]) -> CohortScores:
+    """Score each timeline's decision against its truth: per-class metrics and their
+    mean +- std. Every class needs at least one video."""
+    pairs = [(t, tl.decision) for tl, t in zip(timelines, truths)]
+    per_class = {c: class_metrics(pairs, c) for c in CANONICAL_ORDER}
+    return CohortScores(tuple(timelines), tuple(truths), per_class, overall_scores(per_class))
+
+
+def run_ablation(videos, segmenter_factory: Callable,
+                 classifier: Classifier) -> dict[Variant, CohortScores]:
     """Run every pipeline variant over one shared cohort.
 
     videos is an iterable of (RawVideo, truth MorphClass); it is
@@ -195,22 +167,16 @@ def run_ablation(
         per_variant = run_raw_video(video, segmenter_factory, classifier, variants)
         for variant, tl in per_variant.items():
             timelines[variant].append(tl)
-    out = {}
-    for variant in variants:
-        tally = ConfusionTally.from_pairs(
-            [(t, tl.decision) for tl, t in zip(timelines[variant], truths)]
-        )
-        per_class = all_class_metrics(tally)
-        out[variant] = AblationResult(
-            timelines=tuple(timelines[variant]),
-            truths=tuple(truths),
-            per_class=per_class,
-            overall=overall_scores(per_class),
-        )
-    return out
+    return {v: score_cohort(timelines[v], truths) for v in variants}
 
 
 # -- serialized report formats ---------------------------------------------------
+
+
+def _census(labels: Sequence[MorphClass]) -> Optional[dict[str, int]]:
+    """A timeline's label census as its JSON holds it; null when no frame passed."""
+    counts = Counter(labels)
+    return {c.tag: counts[c] for c in CANONICAL_ORDER} if counts else None
 
 
 def timeline_to_json(
@@ -231,14 +197,12 @@ def timeline_to_json(
             entry["scores"] = None
             entry["label"] = None
         records.append(entry)
-    labels = timeline.labels
-    census = {c.tag: sum(1 for l in labels if l is c) for c in CANONICAL_ORDER} if labels else None
     payload = {
         "video_id": timeline.video_id,
         "truth_label": None if truth_label is None else truth_label.tag,
         "variant": None if variant is None else variant.value,
         "records": records,
-        "census": census,
+        "census": _census(timeline.labels),
         "decision": None if timeline.decision is None else timeline.decision.tag,
         "decision_path": None if timeline.decision_path is None else timeline.decision_path.value,
     }
@@ -271,22 +235,25 @@ def timeline_from_json(text: str) -> tuple[VideoTimeline, Optional[MorphClass], 
             None if payload["decision_path"] is None else DecisionPath(payload["decision_path"])
         ),
     )
+    labels = timeline.labels
+    derived = decide(LabelCensus.from_labels(labels)) if labels else (None, None)
+    census = payload.get("census")
+    if (timeline.decision, timeline.decision_path) != derived or census != _census(labels):
+        raise ValidationError("decision, decision_path or census disagrees with the records")
     truth = None if payload.get("truth_label") is None else MorphClass.from_tag(payload["truth_label"])
     variant = None if payload.get("variant") is None else Variant(payload["variant"])
     return timeline, truth, variant
 
 
-def metrics_csv(
-    blocks: Mapping[Variant, Mapping[MorphClass, ClassMetrics]],
-) -> str:
+def metrics_csv(blocks: Mapping[Variant, Mapping[MorphClass, ClassMetrics]]) -> str:
     """One row per class per variant, metric columns in percent."""
     lines = [",".join(METRICS_HEADER)]
     for variant in Variant:
         if variant not in blocks:
             continue
         for c in CANONICAL_ORDER:
-            values = blocks[variant][c].as_dict().values()
-            lines.append(",".join([variant.value, c.tag] + [f"{v * 100:.2f}" for v in values]))
+            values = [f"{v * 100:.2f}" for v in blocks[variant][c]]
+            lines.append(",".join([variant.value, c.tag, *values]))
     return "\n".join(lines) + "\n"
 
 
@@ -310,3 +277,69 @@ def summary_text(
         lines.append(row)
     lines.append(f"qc pass fraction       {qc_stats.rounded[0]} +- {qc_stats.rounded[1]} %")
     return "\n".join(lines) + "\n"
+
+
+def report_text(variant: Variant, scores: CohortScores) -> str:
+    """summary_text, then per truth class the mean fraction of passing frames given each label."""
+    groups: dict[MorphClass, list[VideoTimeline]] = {}
+    for tl, truth in zip(scores.timelines, scores.truths):
+        groups.setdefault(truth, []).append(tl)
+    framewise = framewise_analysis(groups)
+    lines = ["", "frame-wise predicted fractions (mean over videos):"]
+    for truth in CANONICAL_ORDER:  # scoring found every class among the truths
+        fractions = "".join(f" {c.tag}={framewise[truth][c].mean:.2f}" for c in CANONICAL_ORDER)
+        lines.append(f"  truth {truth.tag:<7}{fractions}")
+    qc_stats = qc_pass_stats(scores.timelines)
+    text = summary_text(variant, scores.per_class, scores.overall, qc_stats)
+    return text + "\n".join(lines) + "\n"
+
+
+def read_metrics(paths: Sequence[str]) -> list[list[str]]:
+    """The rows of metrics CSVs in the layout metrics_csv writes. A malformed row, or a
+    (variant, class) pair that is in two rows of any of the files, is a data error naming
+    file:line (of both rows)."""
+    header = list(METRICS_HEADER)
+    variants = {v.value for v in Variant}
+    tags = {c.tag for c in CANONICAL_ORDER}
+    seen: dict[tuple[str, str], str] = {}
+    out = []
+    for path in paths:
+        rows = read_csv(path, LithovidError, "cannot read metrics file")
+        if rows[:1] != [header]:
+            raise LithovidError(f"{path}:1: header is not {','.join(header)}")
+        for line, row in enumerate(rows[1:], start=2):
+            where = f"{path}:{line}"
+            if len(row) != len(header):
+                raise LithovidError(f"{where}: {len(row)} fields, expected {len(header)}")
+            if row[0] not in variants:
+                raise LithovidError(f"{where}: unknown variant {row[0]!r}")
+            if row[1] not in tags:
+                raise LithovidError(f"{where}: unknown class {row[1]!r}")
+            try:
+                finite = all(math.isfinite(float(v)) for v in row[2:])
+            except ValueError:
+                finite = False
+            if not finite:
+                raise LithovidError(f"{where}: metric values must be finite numbers")
+            key = (row[0], row[1])
+            if key in seen:
+                raise LithovidError(f"{where}: variant {row[0]} class {row[1]} is also at "
+                                    f"{seen[key]}")
+            seen[key] = where
+        out += rows[1:]
+    return out
+
+
+def combined_report(rows: Sequence[Sequence[str]]) -> tuple[str, str]:
+    """combined.csv (the rows under one header) and combined.txt (the mean balanced
+    accuracy of each variant) from read_metrics' rows."""
+    csv_text = "\n".join(",".join(row) for row in [METRICS_HEADER, *rows]) + "\n"
+    by_variant: dict[str, list[float]] = {}
+    for row in rows:
+        by_variant.setdefault(row[0], []).append(float(row[2]))
+    lines = ["mean balanced accuracy by variant:"]
+    for variant in Variant:
+        values = by_variant.get(variant.value)
+        if values:
+            lines.append(f"  {variant.value:<12} {sum(values) / len(values):6.2f} %")
+    return csv_text, "\n".join(lines) + "\n"

@@ -135,9 +135,9 @@ def _resize_plan(h: int, w: int) -> Callable[[np.ndarray], np.ndarray]:
     FRAME_SIDE = 256 makes every tap weight a multiple of 1/512, so the float64
     floor(sum(v * wy * wx) + 0.5) is exact: this int32 sum of v * 512wy * 512wx.
     The taps, column indices and int32 scratch are made once, and each call
-    returns a fresh array (a copy at scale 1)."""
+    returns a fresh array; at scale 1 it returns the image itself, which FrameGrid copies."""
     if (h, w) == (FRAME_SIDE, FRAME_SIDE):
-        return np.ndarray.copy
+        return lambda img: img
     y0, y1, wy = _taps(h)
     wy = wy[:, None, None]
     top = 512 - wy

@@ -29,14 +29,12 @@ from lithovid.classify import train_centroid
 from lithovid.core import CANONICAL_ORDER, DecisionPath, MorphClass, QcTag, StoneMask
 from lithovid.decision import LabelCensus, decide
 from lithovid.evaluate import (
-    ConfusionTally,
-    all_class_metrics,
     metrics_csv,
-    overall_scores,
     qc_pass_stats,
     round_half_up_percent,
     run_ablation,
     sample_std,
+    score_cohort,
     summary_text,
     timeline_to_json,
 )
@@ -151,11 +149,10 @@ def run_full_execution() -> Execution:
             tl = run_raw_video(video, oracle_factory, model)[Variant.FULL]
             pairs.append((label, tl))
             hasher.update(timeline_to_json(tl, truth_label=label, variant=Variant.FULL).encode())
-    tally = ConfusionTally.from_pairs([(t, tl.decision) for t, tl in pairs])
-    per_class = all_class_metrics(tally)
-    overall = overall_scores(per_class)
+    scores = score_cohort([tl for _, tl in pairs], [t for t, _ in pairs])
+    per_class, overall = scores.per_class, scores.overall
     csv_text = metrics_csv({Variant.FULL: per_class})
-    text = summary_text(Variant.FULL, per_class, overall, qc_pass_stats([tl for _, tl in pairs]))
+    text = summary_text(Variant.FULL, per_class, overall, qc_pass_stats(scores.timelines))
     hasher.update(csv_text.encode())
     hasher.update(text.encode())
     ex.clean = {

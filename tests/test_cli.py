@@ -1024,6 +1024,40 @@ class TestEvalCommand:
         assert str(timelines / "IIIb-clean-000.json") in err
         assert not (tmp_path / "o").exists()
 
+    def test_two_timelines_of_one_video_are_a_data_error(self, workspace, tmp_path, capsys):
+        import shutil
+
+        timelines = tmp_path / "tl"
+        shutil.copytree(workspace / "timelines", timelines)
+        copy = timelines / "Ia-clean-000 copy.json"  # it used to count the video twice
+        shutil.copy(timelines / "Ia-clean-000.json", copy)
+        out = tmp_path / "o"
+        assert main(["eval", "--timelines", str(timelines), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(timelines / "Ia-clean-000.json") in err[0] and str(copy) in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("decision", "Ia"), ("decision_path", "Fallback"),
+        ("census", {"Ia": 1, "IIb": 0, "IIIb": 0, "IaIIb": 0, "IaIIIb": 0}),
+    ])
+    def test_decision_disagreeing_with_records_is_data_error(self, workspace, tmp_path, capsys,
+                                                             field, value):
+        import shutil
+
+        timelines = tmp_path / "tl"
+        shutil.copytree(workspace / "timelines", timelines)
+        bad = timelines / "IIb-clean-000.json"
+        assert load_timeline(workspace, bad.name)[0].decision is MorphClass.IIB
+        edit_json(bad, bad, lambda p: p.update({field: value}))
+        out = tmp_path / "o"
+        assert main(["eval", "--timelines", str(timelines), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad} is not a valid timeline: ")
+        assert "decision" in err[0]
+        assert not out.exists()
+
     def test_missing_truth_directory_is_data_error(self, workspace, tmp_path, capsys):
         absent = tmp_path / "absent"
         code = main(["eval", "--timelines", str(workspace / "timelines"),
@@ -1118,6 +1152,8 @@ class TestReportCommand:
         (4, "80.00", "abc"),                               # not a number
         (4, "74.60", "nan"),                               # not finite
         (6, "90.00", "inf"),
+        (3, "IIb", "Xb"),                                  # unknown class
+        (3, "IIb", "Ia"),                                  # class given twice
     ])
     def test_bad_metrics_csv_is_data_error_naming_line(self, tmp_path, capsys, line, old, new):
         from lithovid.evaluate import ClassMetrics, metrics_csv
@@ -1132,7 +1168,21 @@ class TestReportCommand:
         bad.write_text("\n".join(lines) + "\n", "utf-8")
         code = main(["report", "--inputs", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert f"{bad}:{line}: " in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}:{line}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_variant_and_class_in_two_inputs_is_data_error_naming_both(self, workspace,
+                                                                      tmp_path, capsys):
+        evaluated = tmp_path / "ev"
+        assert main(["eval", "--timelines", str(workspace / "timelines"),
+                     "--out", str(evaluated)]) == 0
+        csv = evaluated / "report.csv"  # it used to merge into 10 class rows
+        out = tmp_path / "o"
+        assert main(["report", "--inputs", str(csv), str(csv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {csv}:2: variant full class Ia is also at {csv}:2"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [None, b"variant,class\xff\n"])
     def test_unreadable_metrics_file_is_data_error(self, tmp_path, capsys, content):
@@ -1141,6 +1191,40 @@ class TestReportCommand:
             path.write_bytes(content)
         assert main(["report", "--inputs", str(path), "--out", str(tmp_path / "o")]) == 2
         assert str(path) in capsys.readouterr().err
+
+
+class TestReportBytes:
+    # sha256 of each file at the commit that moved every report format into evaluate
+    PINNED = {
+        "full/report.csv": "23c8aeee788476ae1b67c74c653eb011d8ca22c783a77a1bd0b4e9f04247d044",
+        "full/report.txt": "d075740c65cb141eb18482464376299e97bb2d4a3284ac30f0eaa3c81092f3aa",
+        "no-masking/report.csv": "bf633691cc1cbabd7814f55035720fccdc0092356ab4f7120cf9a91a6bd8198d",
+        "no-masking/report.txt": "b393c1b338d8c9ef429783896e77257697193c001ceaff314f28b90d87ef054f",
+        "no-qc/report.csv": "33e937a667a26836682c5eabc7e2ff0dcf3311e9c6f76e2da693151207ea0c6f",
+        "no-qc/report.txt": "3ca3022a466b2658a7cf404a08dea1a06c6e5548e37e5a915b9f14aafb9928ca",
+        "combined.csv": "f33cd26537567642d30bf020c9e260dfbcc50fe454adc5889418b993d9702633",
+        "combined.txt": "3d66d299bf6bf92b76c459a855882c21ea76743e40206ff279983de4b34527ff",
+    }
+
+    def test_eval_and_report_files_are_pinned(self, tmp_path):
+        """A seeded adversarial cohort, so that the three variants score differently."""
+        cohort = tmp_path / "cohort"
+        assert main(["phantom", "--out", str(cohort), "--per-class", "1", "--seed", "5",
+                     "--duration", "4", "--profile", "adversarial"]) == 0
+        model = tmp_path / "model.json"
+        assert main(["train-cls", "--stills", "8", "--seed", "1", "--out", str(model)]) == 0
+        inputs = []
+        for variant in ("full", "no-masking", "no-qc"):
+            timelines, evaluated = tmp_path / f"tl-{variant}", tmp_path / variant
+            assert main(["run", "--videos", str(cohort), "--out", str(timelines),
+                         "--model", str(model), "--variant", variant]) == 0
+            assert main(["eval", "--timelines", str(timelines), "--truth", str(cohort),
+                         "--out", str(evaluated)]) == 0
+            inputs.append(str(evaluated / "report.csv"))
+        assert main(["report", "--inputs", *inputs, "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.PINNED}
+        assert digests == self.PINNED
 
 
 class TestExitCodes:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,19 +7,18 @@ from hypothesis import strategies as st
 
 from lithovid.core import (
     CANONICAL_ORDER,
-    DecisionPath,
     MorphClass,
     PredictionRecord,
     QcTag,
     QcVerdict,
     VideoTimeline,
 )
+from lithovid.decision import decide_labels
 from lithovid.errors import EmptyGroup, NoPositives, ValidationError
 from lithovid.evaluate import (
     ClassMetrics,
-    ConfusionTally,
+    METRIC_NAMES,
     MeanStd,
-    all_class_metrics,
     class_metrics,
     framewise_analysis,
     metrics_csv,
@@ -35,15 +36,9 @@ from lithovid.pipeline import Variant
 IA, IIB, IIIB, IAIIB, IAIIIB = CANONICAL_ORDER
 
 
-def tally_from_counts(tp, fn, fp, tn, cls=IA):
-    cells = {}
-    n = tp + fn + fp + tn
-    for c in CANONICAL_ORDER:
-        if c is cls:
-            cells[c] = (tp, fn, fp, tn)
-        else:
-            cells[c] = (0, 1, 0, n - 1)
-    return ConfusionTally(cells=cells, n_videos=n)
+def pairs_from_counts(tp, fn, fp, tn):
+    """(truth, decision) pairs whose one-vs-rest counts for Ia are tp, fn, fp, tn."""
+    return [(IA, IA)] * tp + [(IA, IIB)] * fn + [(IIB, IA)] * fp + [(IIB, IIB)] * tn
 
 
 def timeline_with_labels(video_id, labels, rejected_extra=0):
@@ -60,8 +55,6 @@ def timeline_with_labels(video_id, labels, rejected_extra=0):
     decision = None
     path = None
     if labels:
-        from lithovid.decision import decide_labels
-
         decision, path = decide_labels(labels)
     return VideoTimeline(
         video_id=video_id, records=tuple(records), decision=decision, decision_path=path
@@ -71,7 +64,7 @@ def timeline_with_labels(video_id, labels, rejected_extra=0):
 class TestClassMetrics:
     def test_balanced_accuracy_is_mean_of_sens_spec(self):
         # sensitivity 0.85 (17/20), specificity 0.95 (57/60)
-        t = tally_from_counts(tp=17, fn=3, fp=3, tn=57)
+        t = pairs_from_counts(tp=17, fn=3, fp=3, tn=57)
         m = class_metrics(t, IA)
         assert m.sensitivity == pytest.approx(0.85)
         assert m.specificity == pytest.approx(0.95)
@@ -85,19 +78,18 @@ class TestClassMetrics:
         assert round_half_up_percent(m.f1) == 88
 
     def test_perfect_classifier(self):
-        t = tally_from_counts(tp=10, fn=0, fp=0, tn=40)
+        t = pairs_from_counts(tp=10, fn=0, fp=0, tn=40)
         m = class_metrics(t, IA)
         for name in ("sensitivity", "specificity", "precision", "balanced_accuracy", "f1"):
             assert getattr(m, name) == 1.0
 
     def test_no_positives_raises(self):
         pairs = [(IA, IA), (IIIB, IIIB), (IAIIB, IA), (IAIIIB, None)]
-        t = ConfusionTally.from_pairs(pairs)  # cohort contains no IIb videos
-        with pytest.raises(NoPositives, match="IIb"):
-            class_metrics(t, IIB)
+        with pytest.raises(NoPositives, match="IIb"):  # cohort contains no IIb videos
+            class_metrics(pairs, IIB)
 
     def test_zero_precision_and_f1_when_never_predicted(self):
-        t = tally_from_counts(tp=0, fn=5, fp=0, tn=45)
+        t = pairs_from_counts(tp=0, fn=5, fp=0, tn=45)
         m = class_metrics(t, IA)
         assert m.precision == 0.0
         assert m.f1 == 0.0
@@ -111,7 +103,7 @@ class TestClassMetrics:
     def test_balanced_accuracy_identity(self, tp, fn, fp, tn):
         if tp + fn == 0:
             return
-        m = class_metrics(tally_from_counts(tp, fn, fp, tn), IA)
+        m = class_metrics(pairs_from_counts(tp, fn, fp, tn), IA)
         assert m.balanced_accuracy == (m.sensitivity + m.specificity) / 2.0
         if m.precision + m.sensitivity > 0:
             expected = 2 * m.precision * m.sensitivity / (m.precision + m.sensitivity)
@@ -119,13 +111,14 @@ class TestClassMetrics:
 
     def test_tally_pairs_with_missing_decision(self):
         pairs = [(IA, IA), (IA, None), (IIB, IIB), (IIIB, IA), (IAIIB, IAIIB), (IAIIIB, IAIIIB)]
-        tally = ConfusionTally.from_pairs(pairs)
-        tp, fn, fp, tn = tally.cells[IA]
-        assert (tp, fn, fp, tn) == (1, 1, 1, 3)
+        # tp, fn, fp, tn = 1, 1, 1, 3: the missing decision is a false negative
+        assert class_metrics(pairs, IA) == class_metrics(pairs_from_counts(1, 1, 1, 3), IA)
+        assert class_metrics(pairs, IA) == ClassMetrics(0.625, 0.5, 0.75, 0.5, 0.5)
 
-    def test_tally_cell_sum_validated(self):
-        with pytest.raises(ValidationError):
-            ConfusionTally(cells={IA: (1, 1, 1, 1)}, n_videos=5)
+    def test_fields_are_the_report_columns(self):
+        assert METRIC_NAMES == ClassMetrics._fields
+        assert METRIC_NAMES == ("balanced_accuracy", "sensitivity", "specificity", "precision",
+                                "f1")
 
 
 class TestOverallScores:
@@ -222,9 +215,8 @@ def timelines(draw):
         else:
             dsc = draw(st.floats(0, 1)) if tag is QcTag.REJECTED_INSTABILITY else None
             records.append(PredictionRecord.rejected(index, QcVerdict(tag, dsc=dsc)))
-    decided = any(r.qc.passed for r in records)
-    decision = draw(st.sampled_from(MorphClass)) if decided else None
-    path = draw(st.sampled_from(DecisionPath)) if decided else None
+    labels = [r.label for r in records if r.qc.passed]
+    decision, path = decide_labels(labels) if labels else (None, None)
     return VideoTimeline(draw(st.text()), tuple(records), decision, path)
 
 
@@ -252,8 +244,6 @@ class TestTimelineJson:
 
     @pytest.mark.parametrize("slot", ["Ia", "IaIIIb"])
     def test_nan_score_in_json_rejected(self, slot):
-        import json
-
         payload = json.loads(timeline_to_json(timeline_with_labels("v", [IA, IA])))
         payload["records"][1]["scores"][slot] = float("nan")  # dumped as the literal NaN
         with pytest.raises(ValidationError, match=f"non-finite score nan for {slot}$"):
@@ -272,10 +262,21 @@ class TestTimelineJson:
             with pytest.raises(ValidationError, match="non-finite score nan for IIb$"):
                 run_raw_video(video, oracle_factory, NanClassifier(), variants=variants)
 
+    @pytest.mark.parametrize("labels, field, value", [
+        ([IIB] * 3, "decision", "Ia"),
+        ([IIB] * 3, "decision_path", "Fallback"),
+        ([IIB] * 3, "census", {"Ia": 0, "IIb": 2, "IIIb": 1, "IaIIb": 0, "IaIIIb": 0}),
+        ([IIB] * 3, "census", None),
+        ([], "census", {"Ia": 0, "IIb": 0, "IIIb": 0, "IaIIb": 0, "IaIIIb": 0}),
+    ])
+    def test_decision_or_census_disagreeing_with_records_rejected(self, labels, field, value):
+        payload = json.loads(timeline_to_json(timeline_with_labels("v", labels, rejected_extra=1)))
+        payload[field] = value
+        with pytest.raises(ValidationError, match="decision"):
+            timeline_from_json(json.dumps(payload))
+
     def test_census_matches_labels(self):
         tl = timeline_with_labels("v", [IA, IA, IIB])
-        import json
-
         payload = json.loads(timeline_to_json(tl))
         assert payload["census"] == {"Ia": 2, "IIb": 1, "IIIb": 0, "IaIIb": 0, "IaIIIb": 0}
         assert payload["decision"] == "Ia"

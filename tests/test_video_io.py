@@ -391,12 +391,16 @@ class TestBilinearResizeExact:
             assert np.array_equal(plan_resize(square),
                                   reference_bilinear_resize(square, 256, 256))
 
-    def test_scale_one_is_a_copy(self):
+    @pytest.mark.parametrize("shape", [(256, 256), (256, 300)])
+    def test_normalized_frame_at_scale_one_is_a_read_only_copy(self, shape):
         rng = np.random.Generator(np.random.Philox(key=[9, 9]))
-        img = rng.integers(0, 256, size=(256, 256, 3), dtype=np.uint8)
-        out = plan_resize(img)
-        assert np.array_equal(out, img)
-        assert not np.shares_memory(out, img)
+        img = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
+        frames, _ = normalize_video(RawVideo("v", 8.0, (img,)))
+        pixels = frames[0].pixels
+        x0 = (shape[1] - 256) // 2
+        assert np.array_equal(pixels, img[:, x0 : x0 + 256])
+        assert not np.shares_memory(pixels, img)
+        assert not pixels.flags.writeable
 
     def test_integer_premise_holds_for_every_input_side(self):
         """The int32 resize equals the float formula only while, onto FRAME_SIDE,
@@ -452,7 +456,8 @@ class TestResizePlanExact:
 
     @pytest.mark.parametrize("shape", [(480, 480), (479, 641), (33, 19), (256, 256)])
     def test_one_plan_over_many_frames(self, shape):
-        """No state leaks from one call into the next; each result is a fresh array."""
+        """No state leaks from one call into the next; each result is a fresh array, but at
+        scale 1 the crop itself, which FrameGrid copies."""
         h, w = shape
         rng = np.random.Generator(np.random.Philox(key=[h * 10_000 + w, 2]))
         # column crops of wider frames: strided views, as normalize_video passes them
@@ -462,7 +467,7 @@ class TestResizePlanExact:
         outs = [resize(f) for f in frames]
         for f, out in zip(frames, outs):
             assert np.array_equal(out, int32_reference_resize(f))
-            assert not np.shares_memory(out, f)
+            assert out is f if shape == (FRAME_SIDE, FRAME_SIDE) else not np.shares_memory(out, f)
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(outs, 2))
 
 
