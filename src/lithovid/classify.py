@@ -17,20 +17,7 @@ from typing import Iterable, Mapping, Protocol
 import numpy as np
 
 from .core import CANONICAL_ORDER, FrameGrid, MorphClass, StoneMask
-from .errors import (
-    DimensionMismatch,
-    EmptyMask,
-    EmptyMaskSample,
-    MalformedRow,
-    MissingClass,
-    MissingScore,
-    NotTrained,
-    ScoreSumViolation,
-    UnknownClass,
-    ValidationError,
-    read_csv,
-    read_json,
-)
+from .errors import LithovidError, ValidationError, read_csv, read_json
 
 RGB_BINS = 8          # per channel, 8x8x8 = 512 color bins
 GRAD_BINS = 16
@@ -50,7 +37,7 @@ class Classifier(Protocol):
 
 def _check_shapes(frame: FrameGrid, mask: StoneMask) -> None:
     if mask.bits.shape != frame.pixels.shape[:2]:
-        raise DimensionMismatch(
+        raise LithovidError(
             f"mask {mask.bits.shape} vs frame {frame.pixels.shape[:2]}"
         )
 
@@ -79,7 +66,7 @@ def features(frame: FrameGrid, mask: StoneMask) -> np.ndarray:
     q is within 1e-6 of one, hypot is recomputed.
     """
     if mask.empty:
-        raise EmptyMask("cannot featurize an empty mask")
+        raise LithovidError("cannot featurize an empty mask")
     _check_shapes(frame, mask)
     # Work on the stone's bounding box plus a 1-px border, clipped to the
     # frame. The border holds every neighbour a central difference at a
@@ -141,7 +128,7 @@ class CentroidModel:
             cents[c] = arr
         missing = [c.tag for c in CANONICAL_ORDER if c not in cents]
         if missing:
-            raise NotTrained(f"model lacks centroids for: {', '.join(missing)}")
+            raise LithovidError(f"model lacks centroids for: {', '.join(missing)}")
         object.__setattr__(self, "centroids", cents)
 
     def predict(self, frame: FrameGrid, mask: StoneMask) -> dict[MorphClass, float]:
@@ -160,7 +147,7 @@ class CentroidModel:
 
     @classmethod
     def load(cls, path: Path) -> "CentroidModel":
-        return read_json(path, NotTrained, "cannot load model from", lambda payload: cls(
+        return read_json(path, LithovidError, "cannot load model from", lambda payload: cls(
             centroids={MorphClass.from_tag(tag): np.array(vec, dtype=np.float64)
                        for tag, vec in payload["centroids"].items()},
             beta=float(payload["beta"])))
@@ -175,7 +162,7 @@ def train_centroid(
     counts: dict[MorphClass, int] = {}
     for i, (frame, mask, label) in enumerate(samples):
         if mask.empty:
-            raise EmptyMaskSample(f"training sample {i} ({label.tag}) has an empty mask")
+            raise LithovidError(f"training sample {i} ({label.tag}) has an empty mask")
         vec = features(frame, mask)
         if label in sums:
             sums[label] += vec
@@ -185,7 +172,7 @@ def train_centroid(
             counts[label] = 1
     missing = [c.tag for c in CANONICAL_ORDER if c not in sums]
     if missing:
-        raise MissingClass(f"no training samples for: {', '.join(missing)}")
+        raise LithovidError(f"no training samples for: {', '.join(missing)}")
     centroids = {c: sums[c] / counts[c] for c in sums}
     return CentroidModel(centroids=centroids, beta=beta)
 
@@ -203,7 +190,7 @@ class ScoreTable:
         try:
             return dict(self.scores[frame.stream_index])
         except KeyError:
-            raise MissingScore(
+            raise LithovidError(
                 f"no imported score for stream index {frame.stream_index}"
             ) from None
 
@@ -217,37 +204,37 @@ def import_scores(path: Path) -> dict[int, dict[MorphClass, float]]:
     bit-faithfully.
     """
     path = Path(path)
-    rows = read_csv(path, MalformedRow, "cannot read scores")
+    rows = read_csv(path, LithovidError, "cannot read scores")
     if not rows:
-        raise MalformedRow(f"{path} is empty")
+        raise LithovidError(f"{path} is empty")
     header = rows[0]
     if [h.strip() for h in header] != SCORE_HEADER:
         for col in header[1:]:
             if col.strip() not in {c.tag for c in CANONICAL_ORDER}:
-                raise UnknownClass(f"{path}: unknown class column {col.strip()!r}")
-        raise MalformedRow(f"{path}: header must be {','.join(SCORE_HEADER)}")
+                raise LithovidError(f"{path}: unknown class column {col.strip()!r}")
+        raise LithovidError(f"{path}: header must be {','.join(SCORE_HEADER)}")
     out: dict[int, dict[MorphClass, float]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 6:
-            raise MalformedRow(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
+            raise LithovidError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
         try:
             frame_idx = int(row[0])
             values = [float(x) for x in row[1:]]
         except ValueError as exc:
-            raise MalformedRow(f"{path}:{lineno}: {exc}") from None
+            raise LithovidError(f"{path}:{lineno}: {exc}") from None
         if frame_idx < 0:
-            raise MalformedRow(f"{path}:{lineno}: negative frame index")
+            raise LithovidError(f"{path}:{lineno}: negative frame index")
         if frame_idx in out:
-            raise MalformedRow(f"{path}:{lineno}: duplicate frame {frame_idx}")
+            raise LithovidError(f"{path}:{lineno}: duplicate frame {frame_idx}")
         if not all(math.isfinite(v) for v in values):
-            raise MalformedRow(f"{path}:{lineno}: non-finite score")
+            raise LithovidError(f"{path}:{lineno}: non-finite score")
         if any(v < 0 for v in values):
-            raise MalformedRow(f"{path}:{lineno}: negative score")
+            raise LithovidError(f"{path}:{lineno}: negative score")
         total = sum(values)
         if abs(total - 1.0) > IMPORT_SUM_TOL:
-            raise ScoreSumViolation(
+            raise LithovidError(
                 f"{path}:{lineno}: scores sum to {total!r}, not 1 within {IMPORT_SUM_TOL}"
             )
         if abs(total - 1.0) > 1e-12:

@@ -34,15 +34,7 @@ from .classify import (
     train_centroid,
 )
 from .core import CANONICAL_ORDER, FRAME_SIDE, FrameGrid, MorphClass, StoneMask
-from .errors import (
-    BAD_INPUT,
-    CorruptManifest,
-    DimensionMismatch,
-    LithovidError,
-    NoTruthAvailable,
-    ValidationError,
-    read_json,
-)
+from .errors import BAD_INPUT, CorruptManifest, LithovidError, ValidationError, read_json
 from .pipeline import Variant, run_timeline
 from .qc import QcConfig
 from .rng import derive_seed
@@ -167,7 +159,7 @@ def _import_masks(masks_root: Path, video_id: str, n_frames: int) -> OracleSegme
         path = masks_root / video_id / f"mask_{k:06d}.pgm"
         bits = read_pgm(path)
         if bits.shape != (FRAME_SIDE, FRAME_SIDE):
-            raise DimensionMismatch(f"{path} has shape {bits.shape}, not {(FRAME_SIDE,) * 2}")
+            raise LithovidError(f"{path} has shape {bits.shape}, not {(FRAME_SIDE,) * 2}")
         return StoneMask(bits > 127)
 
     return OracleSegmenter.from_masks(LazySequence(n_frames, read))
@@ -218,7 +210,7 @@ def _run_one_video(video_dir: Path, out_dir: Path, variant: Variant, qc: QcConfi
         elif masks is not None:
             segmenter = _import_masks(masks, video.video_id, len(frames))
         elif truths is None:
-            raise NoTruthAvailable("oracle segmenter requires truth masks in the manifest")
+            raise LithovidError("oracle segmenter requires truth masks in the manifest")
         else:
             segmenter = OracleSegmenter.from_masks(truths)
     classifier = model or ScoreTable(import_scores(scores / f"{video.video_id}.csv"))
@@ -285,7 +277,7 @@ def _cohort_samples(cohort: Path, per_video: int):
     for video_dir in list_video_dirs(cohort):
         video = load_stream(video_dir)
         if video.truth_masks is None or video.truth_label is None:
-            raise NoTruthAvailable(f"{video_dir} lacks truth masks or label")
+            raise LithovidError(f"{video_dir} lacks truth masks or label")
         frames, truths = normalize_video(video)
         usable = [k for k, m in enumerate(truths) if m is not None and not m.empty]
         step = max(1, len(usable) // per_video)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import CANONICAL_ORDER, DecisionPath, MorphClass, argmax_scores
-from .errors import EmptyList, ValidationError
+from .errors import LithovidError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class LabelCensus:
     def from_labels(cls, labels: Iterable[MorphClass]) -> "LabelCensus":
         counts = Counter(labels)
         if not counts:
-            raise EmptyList("no labels to aggregate")
+            raise LithovidError("no labels to aggregate")
         return cls(counts=counts)
 
 

@@ -2,8 +2,11 @@
 
 Everything user-facing derives from LithovidError so the CLI can map
 "bad data" failures to one exit code; anything else escaping is treated
-as an internal invariant violation. The readers of JSON and CSV input
-files live here too, so what makes an input file bad is stated once.
+as an internal invariant violation. A subclass exists only where some
+`except` clause names it, so that a caller can act on that one failure;
+every other failure is a plain LithovidError, told apart by its message.
+The readers of JSON and CSV input files live here too, so what makes an
+input file bad is stated once.
 """
 
 import csv
@@ -19,86 +22,8 @@ class ValidationError(LithovidError):
     """A domain object was constructed with inconsistent fields."""
 
 
-# video-io
-class EmptyVideo(LithovidError):
-    pass
-
-
-class TooSmall(LithovidError):
-    pass
-
-
 class CorruptManifest(LithovidError):
-    pass
-
-
-class MissingFrame(LithovidError):
-    pass
-
-
-class DimensionMismatch(LithovidError):
-    pass
-
-
-# phantom generator
-class InvalidSpec(LithovidError):
-    pass
-
-
-# segmentation
-class NotCalibrated(LithovidError):
-    pass
-
-
-class NoTruthAvailable(LithovidError):
-    pass
-
-
-# classification
-class MissingClass(LithovidError):
-    pass
-
-
-class EmptyMaskSample(LithovidError):
-    pass
-
-
-class EmptyMask(LithovidError):
-    pass
-
-
-class NotTrained(LithovidError):
-    pass
-
-
-class MalformedRow(LithovidError):
-    pass
-
-
-class ScoreSumViolation(LithovidError):
-    pass
-
-
-class UnknownClass(LithovidError):
-    pass
-
-
-class MissingScore(LithovidError):
-    pass
-
-
-# decision
-class EmptyList(LithovidError):
-    pass
-
-
-# evaluation
-class NoPositives(LithovidError):
-    pass
-
-
-class EmptyGroup(LithovidError):
-    pass
+    """A manifest or PNM header is unreadable; caught by video_io._read_pnm and cli.cmd_run."""
 
 
 # an input file is at fault: missing or a directory (OSError); not UTF-8, malformed or holding

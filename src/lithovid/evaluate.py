@@ -27,7 +27,7 @@ from .core import (
     VideoTimeline,
 )
 from .decision import LabelCensus, decide
-from .errors import EmptyGroup, LithovidError, NoPositives, ValidationError, read_csv
+from .errors import LithovidError, ValidationError, read_csv
 from .pipeline import Variant, run_raw_video
 
 
@@ -69,7 +69,7 @@ def class_metrics(
     fp = sum(1 for t, p in pairs if t is not c and p is c)
     tn = len(pairs) - tp - fn - fp
     if tp + fn == 0:
-        raise NoPositives(f"no videos of class {c.tag} in the cohort")
+        raise LithovidError(f"no videos of class {c.tag} in the cohort")
     sensitivity = tp / (tp + fn)
     specificity = tn / (tn + fp) if tn + fp > 0 else 0.0
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
@@ -110,7 +110,7 @@ def framewise_analysis(
     out: dict[MorphClass, dict[MorphClass, MeanStd]] = {}
     for truth, timelines in groups.items():
         if not timelines:
-            raise EmptyGroup(f"no timelines in group {truth.tag}")
+            raise LithovidError(f"no timelines in group {truth.tag}")
         fractions: dict[MorphClass, list[float]] = {c: [] for c in CANONICAL_ORDER}
         for tl in timelines:
             labels = tl.labels
@@ -297,11 +297,13 @@ def report_text(variant: Variant, scores: CohortScores) -> str:
 def read_metrics(paths: Sequence[str]) -> list[list[str]]:
     """The rows of metrics CSVs in the layout metrics_csv writes. A malformed row, or a
     (variant, class) pair that is in two rows of any of the files, is a data error naming
-    file:line (of both rows)."""
+    file:line (of both rows); so is a variant without a row for each class, naming the
+    files that hold its rows and the first class it lacks."""
     header = list(METRICS_HEADER)
     variants = {v.value for v in Variant}
     tags = {c.tag for c in CANONICAL_ORDER}
     seen: dict[tuple[str, str], str] = {}
+    holders: dict[str, dict[str, None]] = {}  # variant -> the files with its rows, in order
     out = []
     for path in paths:
         rows = read_csv(path, LithovidError, "cannot read metrics file")
@@ -326,7 +328,13 @@ def read_metrics(paths: Sequence[str]) -> list[list[str]]:
                 raise LithovidError(f"{where}: variant {row[0]} class {row[1]} is also at "
                                     f"{seen[key]}")
             seen[key] = where
+            holders.setdefault(row[0], {})[path] = None
         out += rows[1:]
+    for variant, files in holders.items():
+        for c in CANONICAL_ORDER:  # the mean over classes needs every class
+            if (variant, c.tag) not in seen:
+                raise LithovidError(f"{', '.join(files)}: variant {variant} has no row for "
+                                    f"class {c.tag}")
     return out
 
 

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CANONICAL_ORDER, FRAME_SIDE, STREAM_FPS, FrameGrid, MorphClass, StoneMask
-from .errors import InvalidSpec, ValidationError
+from .errors import LithovidError, ValidationError
 from .rng import stream
 from .video_io import RawVideo
 
@@ -121,11 +121,11 @@ class PhantomSpec:
 
     def __post_init__(self) -> None:
         if not 0 < self.duration_s < math.inf:
-            raise InvalidSpec(f"duration_s must be positive and finite, got {self.duration_s}")
+            raise LithovidError(f"duration_s must be positive and finite, got {self.duration_s}")
         events = tuple(self.events)
         for ev in events:
             if ev.t_start < 0 or ev.t_end > self.duration_s + 1e-9:
-                raise InvalidSpec(
+                raise LithovidError(
                     f"event {ev.kind.value} [{ev.t_start}, {ev.t_end}] "
                     f"outside [0, {self.duration_s}]"
                 )
@@ -135,7 +135,7 @@ class PhantomSpec:
             for a in a_events:
                 for b in b_events:
                     if a.overlaps(b):
-                        raise InvalidSpec(
+                        raise LithovidError(
                             f"contradictory overlap: {a_kind.value} and {b_kind.value}"
                         )
         shell, core = stone_palettes(self.label)
@@ -500,28 +500,15 @@ def _apply_glare(img: np.ndarray, spec: PhantomSpec, index: int, ev: EventScript
             img[..., c] += halo
 
 
-def render_frame(
-    spec: PhantomSpec,
-    index: int,
-    stone_sentinel: Optional[tuple[int, int, int]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Render frame `index`; returns (256x256x3 uint8, truth bits).
-
-    With stone_sentinel set, stone pixels are painted flat in that color
-    and the photometric post effects (glare, drift, vignette, noise) are
-    skipped, which lets tests verify that truth masks delimit exactly
-    the rendered stone geometry.
-    """
+def render_frame(spec: PhantomSpec, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Render frame `index`; returns (256x256x3 uint8, truth bits)."""
     geom = _geometry_for_seed(spec.seed)
     t = index / STREAM_FPS
 
     jitter_ev = spec.active(EventKind.JITTER, t)
     shift = _jitter_offset(spec, index, jitter_ev) if jitter_ev else (0.0, 0.0)
 
-    if stone_sentinel is None:
-        img = _background(spec, index, shift)
-    else:
-        img = np.zeros((SIDE, SIDE, 3), dtype=np.float32)
+    img = _background(spec, index, shift)
 
     if spec.active(EventKind.STONE_FREE, t) is not None:
         stone_bits = np.zeros((SIDE, SIDE), dtype=bool)
@@ -529,9 +516,7 @@ def render_frame(
         dx, dy = _drift(geom, t)
         center = ((SIDE - 1) / 2 + dx + shift[0], (SIDE - 1) / 2 + dy + shift[1])
         stone_bits, is_core = _stone_bits(spec, geom, index, center)
-        if stone_sentinel is not None:
-            img[stone_bits] = np.asarray(stone_sentinel, dtype=np.float32)
-        elif stone_bits.any():
+        if stone_bits.any():
             _paint_stone(img, spec, index, center, stone_bits, is_core)
 
     occluded = np.zeros((SIDE, SIDE), dtype=bool)
@@ -547,17 +532,16 @@ def render_frame(
         intensity = particles_ev.intensity if particles_ev else 0.6
         _draw_particles(img, occluded, spec, index, intensity)
 
-    if stone_sentinel is None:
-        glare_ev = spec.active(EventKind.SPECULAR_GLARE, t)
-        if glare_ev:
-            _apply_glare(img, spec, index, glare_ev)
+    glare_ev = spec.active(EventKind.SPECULAR_GLARE, t)
+    if glare_ev:
+        _apply_glare(img, spec, index, glare_ev)
 
-        img *= _VIGNETTE
+    img *= _VIGNETTE
 
-        drift_ev = spec.active(EventKind.BRIGHTNESS_DRIFT, t)
-        if drift_ev:
-            x = (t - drift_ev.t_start) / (drift_ev.t_end - drift_ev.t_start)
-            img *= 1.0 - 0.55 * drift_ev.intensity * math.sin(math.pi * x) ** 2
+    drift_ev = spec.active(EventKind.BRIGHTNESS_DRIFT, t)
+    if drift_ev:
+        x = (t - drift_ev.t_start) / (drift_ev.t_end - drift_ev.t_start)
+        img *= 1.0 - 0.55 * drift_ev.intensity * math.sin(math.pi * x) ** 2
 
     truth = stone_bits & ~occluded
     img += np.float32(0.5)

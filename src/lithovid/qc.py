@@ -26,8 +26,8 @@ class QcConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.min_coverage < 1.0:
             raise ValidationError(f"min_coverage {self.min_coverage} outside (0, 1)")
-        if not 0.0 < self.min_dsc <= 1.0:
-            raise ValidationError(f"min_dsc {self.min_dsc} outside (0, 1]")
+        if not 0.0 < self.min_dsc < 1.0:  # dsc <= 1, so at 1 no frame passes
+            raise ValidationError(f"min_dsc {self.min_dsc} outside (0, 1)")
 
 
 def check_frame(

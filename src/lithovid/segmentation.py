@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import FrameGrid, StoneMask
-from .errors import DimensionMismatch, NoTruthAvailable, NotCalibrated, ValidationError, read_json
+from .errors import LithovidError, ValidationError, read_json
 
 BCE_EPS = 1e-7
 
@@ -48,7 +48,7 @@ def _probs(p: ProbLike) -> np.ndarray:
 
 def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
-        raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
+        raise LithovidError(f"shape {a.shape} vs {b.shape}")
 
 
 def dsc(a: MaskLike, b: MaskLike) -> float:
@@ -144,7 +144,7 @@ class OracleSegmenter:
         idx = frame.stream_index
         mask = self.truths[idx] if idx < len(self.truths) else None
         if mask is None:
-            raise NoTruthAvailable(f"no ground-truth mask for stream index {idx}")
+            raise LithovidError(f"no ground-truth mask for stream index {idx}")
         return mask
 
     @classmethod
@@ -171,13 +171,13 @@ class ChromaSegmenter:
         mean = np.asarray(self.background_mean, dtype=np.float64).reshape(3)
         cov = np.asarray(self.background_cov, dtype=np.float64).reshape(3, 3)
         if not 0 < self.tau < math.inf:
-            raise NotCalibrated(f"tau must be positive and finite, got {self.tau!r}")
+            raise LithovidError(f"tau must be positive and finite, got {self.tau!r}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise NotCalibrated("background mean and covariance must be finite")
+            raise LithovidError("background mean and covariance must be finite")
         try:
             inv = np.linalg.inv(cov)
         except np.linalg.LinAlgError:
-            raise NotCalibrated("background covariance is singular") from None
+            raise LithovidError("background covariance is singular") from None
         object.__setattr__(self, "background_mean", mean)
         object.__setattr__(self, "background_cov", cov)
         object.__setattr__(self, "_inv_cov", inv)
@@ -213,7 +213,7 @@ class ChromaSegmenter:
 
     @classmethod
     def load(cls, path: Path) -> "ChromaSegmenter":
-        return read_json(path, NotCalibrated, "cannot load calibration from", lambda payload: cls(
+        return read_json(path, LithovidError, "cannot load calibration from", lambda payload: cls(
             background_mean=np.array(payload["background_mean"], dtype=np.float64),
             background_cov=np.array(payload["background_cov"], dtype=np.float64),
             tau=float(payload["tau"]),
@@ -241,7 +241,7 @@ def calibrate_chroma(samples: Iterable[tuple[FrameGrid, StoneMask]]) -> ChromaSe
     bg = np.concatenate(bg_pixels).astype(np.float64)
     stone = np.concatenate(stone_pixels).astype(np.float64)
     if bg.shape[0] < 100:
-        raise NotCalibrated("not enough background pixels to calibrate")
+        raise LithovidError("not enough background pixels to calibrate")
     mean = bg.mean(axis=0)
     cov = np.cov(bg, rowvar=False) + COV_RIDGE * np.eye(3)
     seg = ChromaSegmenter(background_mean=mean, background_cov=cov, tau=1.0)

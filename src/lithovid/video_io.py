@@ -22,15 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import FRAME_SIDE, STREAM_FPS, FrameGrid, MorphClass, StoneMask
-from .errors import (
-    CorruptManifest,
-    DimensionMismatch,
-    EmptyVideo,
-    MissingFrame,
-    TooSmall,
-    ValidationError,
-    read_json,
-)
+from .errors import CorruptManifest, LithovidError, ValidationError, read_json
 
 MANIFEST_NAME = "manifest.json"
 MIN_FRAME_SIDE = 16
@@ -83,7 +75,7 @@ class RawVideo:
             if f.dtype != np.uint8 or f.ndim != 3 or f.shape[2] != 3:
                 raise ValidationError(f"frame {i} must be HxWx3 uint8")
             if f.shape != frames[0].shape:
-                raise DimensionMismatch(
+                raise LithovidError(
                     f"frame {i} has shape {f.shape[:2]}, expected {frames[0].shape[:2]}"
                 )
         object.__setattr__(self, "frames", frames)
@@ -93,7 +85,7 @@ class RawVideo:
                 raise ValidationError("truth_masks must align one-to-one with frames")
             for i, m in enumerate(masks if eager else ()):
                 if m is not None and m.shape != frames[i].shape[:2]:
-                    raise DimensionMismatch(f"truth mask {i} does not match its frame")
+                    raise LithovidError(f"truth mask {i} does not match its frame")
             object.__setattr__(self, "truth_masks", masks)
 
 
@@ -107,7 +99,7 @@ def stream_indices(video: RawVideo) -> list[int]:
     """
     n = len(video.frames)
     if n == 0:
-        raise EmptyVideo(f"video {video.video_id!r} has no frames")
+        raise LithovidError(f"video {video.video_id!r} has no frames")
     ratio = Fraction(video.native_fps) / Fraction(STREAM_FPS)
     half = Fraction(1, 2)
     count = max(1, int(n / ratio + half))
@@ -168,7 +160,7 @@ def normalize_mask(mask: np.ndarray) -> StoneMask:
     arr = np.asarray(mask).astype(bool)
     h, w = arr.shape
     if h < MIN_FRAME_SIDE or w < MIN_FRAME_SIDE:
-        raise TooSmall(f"mask {w}x{h} is below the {MIN_FRAME_SIDE} px minimum")
+        raise LithovidError(f"mask {w}x{h} is below the {MIN_FRAME_SIDE} px minimum")
     square = _center_crop_square(arr)
     side = square.shape[0]
     if side == FRAME_SIDE:
@@ -236,7 +228,7 @@ def _read_pnm(path: Path, magic: bytes, channels: int, raster: bool = True):
     after the same checks: then only the header is read (past a 4 KB probe only for long
     comments) and the raster's length is taken from the file size."""
     if not path.is_file():
-        raise MissingFrame(f"frame file not found: {path}")
+        raise LithovidError(f"frame file not found: {path}")
     with open(path, "rb") as fh:
         data = fh.read(-1 if raster else _HEADER_PROBE)
         try:
@@ -370,11 +362,11 @@ def load_stream(manifest_path: Path) -> RawVideo:
     for i, (name, mask) in enumerate(zip(m.files, m.masks)):
         shapes.append(_read_pnm(base / name, b"P6", 3, raster=False))
         if shapes[-1] != shapes[0]:
-            raise DimensionMismatch(
+            raise LithovidError(
                 f"{m.path}: frame {i} has shape {shapes[-1][:2]}, expected {shapes[0][:2]}"
             )
         if mask and _read_pnm(base / mask, b"P5", 1, raster=False) != shapes[-1][:2]:
-            raise DimensionMismatch(f"truth mask {i} does not match its frame")
+            raise LithovidError(f"truth mask {i} does not match its frame")
 
     def read_mask(k: int) -> Optional[np.ndarray]:
         return None if m.masks[k] is None else read_pgm(base / m.masks[k]) > 127
@@ -412,7 +404,7 @@ def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequenc
             raise ValidationError(f"frame {native[k]} must be HxWx3 uint8")
         h, w = img.shape[:2]
         if h < MIN_FRAME_SIDE or w < MIN_FRAME_SIDE:
-            raise TooSmall(f"frame {w}x{h} is below the {MIN_FRAME_SIDE} px minimum")
+            raise LithovidError(f"frame {w}x{h} is below the {MIN_FRAME_SIDE} px minimum")
         square = _center_crop_square(img)
         if square.shape not in plans:
             plans[square.shape] = _resize_plan(*square.shape[:2])

@@ -16,19 +16,7 @@ from lithovid.classify import (
     train_centroid,
 )
 from lithovid.core import CANONICAL_ORDER, FrameGrid, MorphClass, StoneMask
-from lithovid.errors import (
-    DimensionMismatch,
-    EmptyMask,
-    EmptyMaskSample,
-    LithovidError,
-    MalformedRow,
-    MissingClass,
-    MissingScore,
-    NotTrained,
-    ScoreSumViolation,
-    UnknownClass,
-    ValidationError,
-)
+from lithovid.errors import LithovidError, ValidationError
 from lithovid.phantom import adversarial_spec, make_still, render_frame, training_stills
 from lithovid.pipeline import FULL_FRAME_MASK
 
@@ -50,7 +38,7 @@ def block_mask(y0=50, y1=150, x0=60, x1=180):
 
 class TestFeatures:
     def test_empty_mask_rejected(self):
-        with pytest.raises(EmptyMask):
+        with pytest.raises(LithovidError, match="^cannot featurize an empty mask$"):
             features(rand_frame(), StoneMask(np.zeros((256, 256), dtype=bool)))
 
     def test_l1_normalized(self):
@@ -176,7 +164,7 @@ class TestFeaturesExact:
             assert np.array_equal(features(frame, mask), reference_features(frame, mask))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(LithovidError, match=r"^mask \(16, 16\) vs frame \(256, 256\)$"):
             features(rand_frame(), StoneMask(np.ones((16, 16), dtype=bool)))
 
     def test_full_frame_and_stone_masks_on_adversarial_frames(self):
@@ -299,13 +287,13 @@ class TestCentroidModel:
 
     def test_missing_class_rejected(self):
         samples = [s for s in training_stills(8, 2) if s[2] is not IIIB]
-        with pytest.raises(MissingClass, match="IIIb"):
+        with pytest.raises(LithovidError, match="^no training samples for: IIIb$"):
             train_centroid(samples)
 
     def test_empty_mask_sample_rejected(self):
         samples = training_stills(8, 1)
         samples.append((rand_frame(), StoneMask(np.zeros((256, 256), bool)), IA))
-        with pytest.raises(EmptyMaskSample):
+        with pytest.raises(LithovidError, match=r"^training sample \d+ \(Ia\) has an empty mask$"):
             train_centroid(samples)
 
     def test_predict_scores_sum_to_one(self, small_model):
@@ -321,11 +309,11 @@ class TestCentroidModel:
         assert model.predict(f, m)[IA] > 0.99
 
     def test_predict_empty_mask(self, small_model):
-        with pytest.raises(EmptyMask):
+        with pytest.raises(LithovidError, match="^cannot featurize an empty mask$"):
             small_model.predict(rand_frame(), StoneMask(np.zeros((256, 256), bool)))
 
     def test_not_trained(self):
-        with pytest.raises(NotTrained, match="^model lacks centroids for: IIb, IIIb, IaIIb"):
+        with pytest.raises(LithovidError, match="^model lacks centroids for: IIb, IIIb, IaIIb"):
             CentroidModel(centroids={IA: np.full(528, 1 / 528)})
 
     def test_held_out_accuracy(self, small_model):
@@ -354,7 +342,7 @@ class TestCentroidModel:
         small_model.save(path)
         text = path.read_text("utf-8").replace('"beta": 50.0', f'"beta": {beta}')
         path.write_text(text, "utf-8")
-        with pytest.raises(NotTrained, match=f"^cannot load model from {re.escape(str(path))}"):
+        with pytest.raises(LithovidError, match=f"^cannot load model from {re.escape(str(path))}"):
             CentroidModel.load(path)
 
     def test_save_load_round_trip(self, small_model, tmp_path):
@@ -385,12 +373,12 @@ class TestScoreImport:
         path = self.write(
             tmp_path, "frame,Ia,IIb,IIIb,IaIIb,IaIIIb\n0,0.5,0.1,0.1,0.05,0.05\n"
         )
-        with pytest.raises(ScoreSumViolation):
+        with pytest.raises(LithovidError, match=f"^{re.escape(str(path))}:2: scores sum to 0.8"):
             import_scores(path)
 
     def test_unknown_class_column(self, tmp_path):
         path = self.write(tmp_path, "frame,Ia,IIb,IIIb,IaIIb,IVd\n")
-        with pytest.raises(UnknownClass):
+        with pytest.raises(LithovidError, match=": unknown class column 'IVd'$"):
             import_scores(path)
 
     def test_malformed_rows(self, tmp_path):
@@ -399,7 +387,7 @@ class TestScoreImport:
                     "1,inf,0.2,0.2,0.2,0.2", "1,-inf,0.2,0.2,0.2,0.2",
                     "1,0.2,0.2,0.2,0.2,NaN"):
             path = self.write(tmp_path, "frame,Ia,IIb,IIIb,IaIIb,IaIIIb\n" + row + "\n")
-            with pytest.raises(MalformedRow, match=f"^{re.escape(str(path))}:2: "):
+            with pytest.raises(LithovidError, match=f"^{re.escape(str(path))}:2: "):
                 import_scores(path)
 
     @pytest.mark.parametrize("content", [
@@ -411,7 +399,7 @@ class TestScoreImport:
         path = tmp_path / "scores.csv"
         if content is not None:
             path.write_bytes(content)
-        with pytest.raises(MalformedRow, match=f"^cannot read scores {re.escape(str(path))}: "):
+        with pytest.raises(LithovidError, match=f"^cannot read scores {re.escape(str(path))}: "):
             import_scores(path)
 
     @settings(max_examples=150, deadline=None)
@@ -453,7 +441,7 @@ class TestScoreImport:
             "frame,Ia,IIb,IIIb,IaIIb,IaIIIb\n"
             "1,0.2,0.2,0.2,0.2,0.2\n1,0.2,0.2,0.2,0.2,0.2\n",
         )
-        with pytest.raises(MalformedRow):
+        with pytest.raises(LithovidError, match=f"^{re.escape(str(path))}:3: duplicate frame 1$"):
             import_scores(path)
 
     def test_export_import_round_trip_is_bit_faithful(self, tmp_path, small_model, oracle_factory):
@@ -474,7 +462,7 @@ class TestScoreImport:
     def test_score_table_missing_frame(self):
         table = ScoreTable({0: {c: 0.2 for c in CANONICAL_ORDER}})
         frame = rand_frame()
-        with pytest.raises(MissingScore):
+        with pytest.raises(LithovidError, match="^no imported score for stream index 5$"):
             table.predict(
                 FrameGrid(frame.pixels, stream_index=5),
                 StoneMask(np.ones((256, 256), bool)),

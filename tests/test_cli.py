@@ -1184,6 +1184,23 @@ class TestReportCommand:
         assert err == [f"error: {csv}:2: variant full class Ia is also at {csv}:2"]
         assert not out.exists()
 
+    def test_variant_without_every_class_is_data_error(self, tmp_path, capsys):
+        from lithovid.evaluate import ClassMetrics, metrics_csv
+        from lithovid.pipeline import Variant
+
+        m = ClassMetrics(sensitivity=0.8, specificity=0.9, precision=0.7,
+                         balanced_accuracy=0.85, f1=0.746)
+        lines = metrics_csv({Variant.FULL: {c: m for c in CANONICAL_ORDER},
+                             Variant.NO_QC: {c: m for c in CANONICAL_ORDER}}).splitlines()
+        bad = tmp_path / "bad.csv"
+        kept = [line for line in lines if not line.startswith("no-qc,IIb,")]
+        bad.write_text("\n".join(kept) + "\n", "utf-8")
+        out = tmp_path / "o"
+        assert main(["report", "--inputs", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: variant no-qc has no row for class IIb"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [None, b"variant,class\xff\n"])
     def test_unreadable_metrics_file_is_data_error(self, tmp_path, capsys, content):
         path = tmp_path / "metrics.csv"
@@ -1252,8 +1269,8 @@ class TestExitCodes:
         assert code == 1
 
     @pytest.mark.parametrize("flag, value", [
-        ("--min-dsc", "1.5"), ("--min-dsc", "0"), ("--min-coverage", "1.0"),
-        ("--min-coverage", "-0.1"),
+        ("--min-dsc", "1.5"), ("--min-dsc", "1.0"), ("--min-dsc", "0"),
+        ("--min-coverage", "1.0"), ("--min-coverage", "-0.1"),
     ])
     def test_bad_qc_threshold_is_usage_error(self, workspace, tmp_path, flag, value):
         out = tmp_path / "o"

@@ -11,7 +11,7 @@ import pytest
 
 from lithovid.core import CANONICAL_ORDER, DecisionPath, MorphClass
 from lithovid.decision import LabelCensus, decide, decide_labels
-from lithovid.errors import EmptyList, ValidationError
+from lithovid.errors import LithovidError, ValidationError
 
 IA, IIB, IIIB, IAIIB, IAIIIB = CANONICAL_ORDER
 
@@ -76,7 +76,7 @@ class TestWorkedExamples:
 
 class TestCensus:
     def test_empty_list_raises(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(LithovidError, match="^no labels to aggregate$"):
             LabelCensus.from_labels([])
         with pytest.raises(ValidationError):
             LabelCensus(counts={})
@@ -138,5 +138,5 @@ class TestOracleEquivalence:
 
 def test_decide_labels_convenience():
     assert decide_labels([IA, IA, IIB]) == (IA, DecisionPath.MAJORITY)
-    with pytest.raises(EmptyList):
+    with pytest.raises(LithovidError, match="^no labels to aggregate$"):
         decide_labels([])

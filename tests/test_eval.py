@@ -14,7 +14,7 @@ from lithovid.core import (
     VideoTimeline,
 )
 from lithovid.decision import decide_labels
-from lithovid.errors import EmptyGroup, NoPositives, ValidationError
+from lithovid.errors import LithovidError, ValidationError
 from lithovid.evaluate import (
     ClassMetrics,
     METRIC_NAMES,
@@ -85,7 +85,7 @@ class TestClassMetrics:
 
     def test_no_positives_raises(self):
         pairs = [(IA, IA), (IIIB, IIIB), (IAIIB, IA), (IAIIIB, None)]
-        with pytest.raises(NoPositives, match="IIb"):  # cohort contains no IIb videos
+        with pytest.raises(LithovidError, match="^no videos of class IIb in the cohort$"):
             class_metrics(pairs, IIB)
 
     def test_zero_precision_and_f1_when_never_predicted(self):
@@ -180,7 +180,7 @@ class TestFramewise:
         assert sum(out[IA][c].mean for c in CANONICAL_ORDER) == pytest.approx(1.0)
 
     def test_empty_group_raises(self):
-        with pytest.raises(EmptyGroup):
+        with pytest.raises(LithovidError, match="^no timelines in group Ia$"):
             framewise_analysis({IA: []})
 
 

@@ -200,3 +200,49 @@ def test_parse_check_sees_calls():
         "rows = list(csv.reader(open('x')))\n"
     )
     assert parse_calls(source) == [5, 6]
+
+
+def caught_names(tree):
+    """Every name an except clause names: alone, in a tuple or as a module attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+            for n in ast.walk(handler.type) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def uncaught_classes(errors_source, sources):
+    """Each class errors_source defines that no except clause in sources names."""
+    caught = set().union(*(caught_names(ast.parse(source)) for source in sources))
+    return [node.name for node in ast.parse(errors_source).body
+            if isinstance(node, ast.ClassDef) and node.name not in caught]
+
+
+def test_every_exception_class_is_caught():
+    """A subclass of LithovidError exists only where some except clause acts on it; any
+    other failure is a plain LithovidError, told apart by its message."""
+    sources = [p.read_text("utf-8") for p in PACKAGE.glob("*.py")]
+    assert uncaught_classes((PACKAGE / "errors.py").read_text("utf-8"), sources) == []
+
+
+def test_exception_check_sees_uncaught_classes():
+    errors = (
+        "class Base(Exception): pass\n"
+        "class Alone(Base): pass\n"
+        "class InTuple(Base): pass\n"
+        "class ByAttribute(Base): pass\n"
+        "class OnlyRaised(Base): pass\n"
+    )
+    user = (
+        "from . import errors\n"
+        "try:\n"
+        "    f()\n"
+        "except Alone:\n"
+        "    pass\n"
+        "except (InTuple, OSError):\n"
+        "    pass\n"
+        "except errors.ByAttribute:\n"
+        "    pass\n"
+        "except Base as exc:\n"
+        "    raise OnlyRaised(str(exc))\n"
+    )
+    assert uncaught_classes(errors, [user]) == ["OnlyRaised"]

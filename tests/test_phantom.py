@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lithovid.core import CANONICAL_ORDER, MorphClass
-from lithovid.errors import InvalidSpec, ValidationError
+from lithovid.errors import LithovidError, ValidationError
 from lithovid.phantom import (
     EVENT_RATES,
     PROFILE_BUILDERS,
@@ -20,6 +20,8 @@ from lithovid.phantom import (
     stone_palettes,
 )
 from lithovid.rng import stream
+
+from test_phantom_exact import reference_render_frame
 
 IA = MorphClass.IA
 IAIIB = MorphClass.IA_IIB
@@ -39,14 +41,14 @@ class TestSpecValidation:
             EventScript(EventKind.JITTER, 0.0, 1.0, intensity=1.5)
 
     def test_events_must_fit_duration(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(LithovidError, match=r"StoneFree \[1.0, 3.0\] outside \[0, 2.0\]$"):
             PhantomSpec(
                 seed=1, label=IA, duration_s=2.0,
                 events=(EventScript(EventKind.STONE_FREE, 1.0, 3.0),),
             )
 
     def test_contradictory_overlap_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(LithovidError, match="overlap: StoneFree and SurfaceExam$"):
             PhantomSpec(
                 seed=1, label=IA, duration_s=4.0,
                 events=(
@@ -54,7 +56,7 @@ class TestSpecValidation:
                     EventScript(EventKind.SURFACE_EXAM, 1.0, 3.0),
                 ),
             )
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(LithovidError, match="overlap: StoneFree and Fragmentation$"):
             PhantomSpec(
                 seed=1, label=IA, duration_s=4.0,
                 events=(
@@ -212,16 +214,20 @@ class TestEventSemantics:
             assert (d_core < d_shell).mean() < 0.02
 
     def test_truth_masks_delimit_rendered_stone(self):
+        """The reference renderer paints the stone flat in a sentinel colour; render_frame's
+        truth masks are the reference's, so they delimit the stone it renders."""
         sentinel = (255, 0, 255)
-        spec = adversarial_spec(42, IAIIB, 6.0)
-        for index in range(0, spec.n_frames, 5):
-            frame, truth = render_frame(spec, index, stone_sentinel=sentinel)
-            if truth.any():
-                assert np.all(frame[truth] == sentinel)
-            # occluded or stone-free pixels must never be sentinel-colored
-            outside = frame[~truth]
-            if len(outside):
-                assert not np.all(outside == sentinel, axis=1).any()
+        for label in CANONICAL_ORDER:
+            spec = adversarial_spec(42, label, 6.0)
+            for index in range(spec.n_frames):
+                frame, truth = reference_render_frame(spec, index, stone_sentinel=sentinel)
+                if truth.any():
+                    assert np.all(frame[truth] == sentinel)
+                # occluded or stone-free pixels must never be sentinel-colored
+                outside = frame[~truth]
+                if len(outside):
+                    assert not np.all(outside == sentinel, axis=1).any()
+                assert np.array_equal(render_frame(spec, index)[1], truth)
 
     def test_instrument_occludes_truth(self):
         base = PhantomSpec(seed=55, label=IA, duration_s=2.0)
@@ -252,7 +258,7 @@ class TestDefaultEventMix:
     def test_specs_are_valid_for_all_labels(self):
         for label in CANONICAL_ORDER:
             for seed in range(200):
-                default_event_mix(seed, label)  # must not raise InvalidSpec
+                default_event_mix(seed, label)  # must not raise
 
 
 class TestCounterBasedStreams:

@@ -237,12 +237,12 @@ def reference_render_frame(
     return img.astype(np.uint8), truth
 
 
-def assert_same_render(spec, indices, stone_sentinel=None):
+def assert_same_render(spec, indices):
     """Compare every index with the reference; returns the truth masks."""
     truths = []
     for index in indices:
-        frame, truth = render_frame(spec, index, stone_sentinel)
-        ref_frame, ref_truth = reference_render_frame(spec, index, stone_sentinel)
+        frame, truth = render_frame(spec, index)
+        ref_frame, ref_truth = reference_render_frame(spec, index)
         assert frame.dtype == np.uint8 and frame.flags.c_contiguous
         assert frame.shape == (SIDE, SIDE, 3)
         assert truth.dtype == bool and truth.shape == (SIDE, SIDE)
@@ -273,11 +273,6 @@ class TestRenderExact:
         for seed, label in ((11, CANONICAL_ORDER[0]), (12, CANONICAL_ORDER[-1])):
             spec = one_event_spec(seed, label, kind)
             assert_same_render(spec, range(spec.n_frames))
-
-    def test_stone_sentinel(self):
-        for label in CANONICAL_ORDER:
-            spec = PROFILE_BUILDERS["adversarial"](42, label, 6.0)
-            assert_same_render(spec, range(spec.n_frames), stone_sentinel=(255, 0, 255))
 
     def test_stone_clipped_by_the_frame_edge(self, monkeypatch):
         # at full intensity the stone stays >= 5 px inside the frame (400 seeds), so

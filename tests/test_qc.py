@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lithovid.core import MorphClass, QcTag, StoneMask
-from lithovid.errors import DimensionMismatch, ValidationError
+from lithovid.errors import LithovidError, ValidationError
 from lithovid.phantom import EventKind, EventScript, PhantomSpec, generate_phantom
 from lithovid.qc import QcConfig, check_frame
 
@@ -19,6 +19,8 @@ def test_config_validation():
         QcConfig(min_coverage=0.0)
     with pytest.raises(ValidationError):
         QcConfig(min_dsc=1.5)
+    with pytest.raises(ValidationError, match=r"^min_dsc 1.0 outside \(0, 1\)$"):
+        QcConfig(min_dsc=1.0)
 
 
 def test_coverage_rejected_even_with_identical_previous():
@@ -68,7 +70,7 @@ def test_first_frame_rejected_no_reference():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LithovidError, match=r"^shape \(20, 20\) vs \(16, 16\)$"):
         check_frame(mask_with_count(20, 100), mask_with_count(16, 100))
 
 

@@ -13,15 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lithovid.core import FRAME_SIDE, STREAM_FPS, MorphClass
-from lithovid.errors import (
-    CorruptManifest,
-    DimensionMismatch,
-    EmptyVideo,
-    LithovidError,
-    MissingFrame,
-    TooSmall,
-    ValidationError,
-)
+from lithovid.errors import CorruptManifest, LithovidError, ValidationError
 from lithovid.phantom import PhantomSpec, clean_spec, generate_phantom
 from lithovid.video_io import (
     MIN_FRAME_SIDE,
@@ -101,7 +93,7 @@ class TestResample:
         assert stream_indices(gradient_video(30, 30.0)) == [0, 4, 8, 11, 15, 19, 23, 26]
 
     def test_empty_video_raises(self):
-        with pytest.raises(EmptyVideo):
+        with pytest.raises(LithovidError, match="^video 'e' has no frames$"):
             stream_indices(RawVideo(video_id="e", native_fps=10.0, frames=()))
 
     @pytest.mark.parametrize("fps", [0.0, -8.0, float("nan"), float("inf"), float("-inf"),
@@ -156,12 +148,12 @@ class TestFrameChecks:
             RawVideo(video_id="v", native_fps=8.0, frames=(*uint8_frames((20, 20, 3)), bad))
 
     def test_frames_of_different_shapes(self):
-        with pytest.raises(DimensionMismatch, match=r"^frame 1 has shape \(20, 24\)"):
+        with pytest.raises(LithovidError, match=r"^frame 1 has shape \(20, 24\)"):
             RawVideo(video_id="v", native_fps=8.0, frames=uint8_frames((20, 20, 3), (20, 24, 3)))
 
     def test_mask_that_does_not_match_its_frame(self):
         masks = (np.zeros((20, 20), bool), np.zeros((20, 21), bool))
-        with pytest.raises(DimensionMismatch, match="^truth mask 1 does not match its frame$"):
+        with pytest.raises(LithovidError, match="^truth mask 1 does not match its frame$"):
             RawVideo(video_id="v", native_fps=8.0, frames=uint8_frames(*[(20, 20, 3)] * 2),
                      truth_masks=masks)
 
@@ -213,7 +205,7 @@ class TestNormalizeFrame:
         assert np.all(out.pixels == 201)
 
     def test_too_small(self):
-        with pytest.raises(TooSmall):
+        with pytest.raises(LithovidError, match="^frame 64x15 is below the 16 px minimum$"):
             normalize_one(np.zeros((15, 64, 3), dtype=np.uint8))
 
     def test_idempotent_on_normalized(self):
@@ -311,14 +303,14 @@ class TestStreamContainer:
         video, _, _ = generate_phantom(clean_spec(5, MorphClass.IA, 0.5))
         store_stream(video, tmp_path / "v")
         (tmp_path / "v" / "frame_000001.ppm").unlink()
-        with pytest.raises(MissingFrame):
+        with pytest.raises(LithovidError, match="^frame file not found: .*frame_000001.ppm$"):
             load_stream(tmp_path / "v")
 
     def test_unequal_frame_sizes(self, tmp_path):
         video, _, _ = generate_phantom(clean_spec(5, MorphClass.IA, 0.5))
         store_stream(video, tmp_path / "v")
         write_ppm(tmp_path / "v" / "frame_000001.ppm", np.zeros((16, 16, 3), np.uint8))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(LithovidError, match=r"json: frame 1 has shape \(16, 16\), expected "):
             load_stream(tmp_path / "v")
 
     def test_corrupt_manifest(self, tmp_path):
@@ -541,16 +533,19 @@ class TestGridOnlyLoad:
         with pytest.raises(CorruptManifest, match="truncated"):
             load_stream(d)
 
-    @pytest.mark.parametrize("damage, error", [
-        ("missing", MissingFrame),
-        ("truncated", CorruptManifest),
-        ("header", CorruptManifest),
-        ("wrong size", DimensionMismatch),
-        ("not P6", CorruptManifest),
-        ("mask shape", DimensionMismatch),
-        ("mask truncated", CorruptManifest),
-    ])
-    def test_off_grid_file_is_still_checked(self, tmp_path, damage, error):
+    OFF_GRID_DAMAGE = [
+        ("missing", LithovidError, "^frame file not found: .*frame_000001.ppm$"),
+        ("truncated", CorruptManifest, "frame_000001.ppm raster is truncated$"),
+        ("header", CorruptManifest, "frame_000001.ppm has a malformed header$"),
+        ("wrong size", LithovidError, r"manifest.json: frame 1 has shape \(24, 31\), expected "),
+        ("not P6", CorruptManifest, "frame_000001.ppm is not a P6 file$"),
+        ("mask shape", LithovidError, "^truth mask 1 does not match its frame$"),
+        ("mask truncated", CorruptManifest, "mask_000001.pgm raster is truncated$"),
+    ]
+
+    @pytest.mark.parametrize("damage, error, message", OFF_GRID_DAMAGE,
+                             ids=[f"{d}-{e.__name__}" for d, e, _ in OFF_GRID_DAMAGE])
+    def test_off_grid_file_is_still_checked(self, tmp_path, damage, error, message):
         d = store_random_video(tmp_path / "v", 30, 30.0)
         frame = d / "frame_000001.ppm"  # native frame 1 is not on the 8 Hz grid
         mask = d / "mask_000001.pgm"
@@ -568,7 +563,7 @@ class TestGridOnlyLoad:
             write_pgm(mask, np.zeros((24, 31), bool))
         else:
             mask.write_bytes(mask.read_bytes()[:-1])
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             load_stream(d)  # at load, though the 8 Hz stream never decodes this frame
 
 
