@@ -153,11 +153,8 @@ class CentroidModel:
             beta=float(payload["beta"])))
 
 
-def train_centroid(
-    samples: Iterable[tuple[FrameGrid, StoneMask, MorphClass]],
-    beta: float = DEFAULT_BETA,
-) -> CentroidModel:
-    """Average the feature vectors of each class into its centroid."""
+def train_centroid(samples: Iterable[tuple[FrameGrid, StoneMask, MorphClass]]) -> CentroidModel:
+    """Average the feature vectors of each class into its centroid; beta is DEFAULT_BETA."""
     sums: dict[MorphClass, np.ndarray] = {}
     counts: dict[MorphClass, int] = {}
     for i, (frame, mask, label) in enumerate(samples):
@@ -174,7 +171,7 @@ def train_centroid(
     if missing:
         raise LithovidError(f"no training samples for: {', '.join(missing)}")
     centroids = {c: sums[c] / counts[c] for c in sums}
-    return CentroidModel(centroids=centroids, beta=beta)
+    return CentroidModel(centroids=centroids)
 
 
 # -- external score import ----------------------------------------------------

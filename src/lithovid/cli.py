@@ -33,20 +33,19 @@ from .classify import (
     import_scores,
     train_centroid,
 )
-from .core import CANONICAL_ORDER, FRAME_SIDE, FrameGrid, MorphClass, StoneMask
-from .errors import BAD_INPUT, CorruptManifest, LithovidError, ValidationError, read_json
+from .core import CANONICAL_ORDER, FrameGrid, MorphClass, StoneMask
+from .errors import CorruptManifest, LithovidError, ValidationError, read_json, read_text
 from .pipeline import Variant, run_timeline
 from .qc import QcConfig
 from .rng import derive_seed
 from .segmentation import ChromaSegmenter, OracleSegmenter, calibrate_chroma
 from .video_io import (
     MANIFEST_NAME,
-    LazySequence,
+    imported_masks,
     list_video_dirs,
     load_stream,
     normalize_video,
     read_manifest,
-    read_pgm,
     store_stream,
     write_ppm,
 )
@@ -115,7 +114,7 @@ def _config_argv(args) -> list[str]:
 
 # -- overlay rendering ---------------------------------------------------------
 
-# 3x5 glyphs for the morphology tags and the rejected marker
+# 3x5 glyphs for every character of a MorphClass.display and the rejected marker X
 _GLYPHS = {
     "I": ["###", ".#.", ".#.", ".#.", "###"],
     "a": ["...", ".##", "#.#", "#.#", ".##"],
@@ -129,11 +128,7 @@ def _burn_text(img: np.ndarray, text: str) -> None:
     """Burn text in 3x-scaled glyphs, top left corner at (4, 4)."""
     scale, y, cx = 3, 4, 4
     for ch in text:
-        glyph = _GLYPHS.get(ch)
-        if glyph is None:
-            cx += 2 * scale
-            continue
-        for gy, rowtxt in enumerate(glyph):
+        for gy, rowtxt in enumerate(_GLYPHS[ch]):
             for gx, cell in enumerate(rowtxt):
                 if cell == "#":
                     y0, x0 = y + gy * scale, cx + gx * scale
@@ -151,18 +146,6 @@ def render_overlay(frame: FrameGrid, mask: Optional[StoneMask], label_text: str)
 
 
 # -- per-video run worker --------------------------------------------------------
-
-
-def _import_masks(masks_root: Path, video_id: str, n_frames: int) -> OracleSegmenter:
-    """Segmenter that reads stream frame k's imported mask when frame k is segmented."""
-    def read(k: int) -> StoneMask:
-        path = masks_root / video_id / f"mask_{k:06d}.pgm"
-        bits = read_pgm(path)
-        if bits.shape != (FRAME_SIDE, FRAME_SIDE):
-            raise LithovidError(f"{path} has shape {bits.shape}, not {(FRAME_SIDE,) * 2}")
-        return StoneMask(bits > 127)
-
-    return OracleSegmenter.from_masks(LazySequence(n_frames, read))
 
 
 def _write_replacing(target: Path, write: Callable[[Path], object]) -> None:
@@ -208,7 +191,7 @@ def _run_one_video(video_dir: Path, out_dir: Path, variant: Variant, qc: QcConfi
         if chroma is not None:
             segmenter = chroma
         elif masks is not None:
-            segmenter = _import_masks(masks, video.video_id, len(frames))
+            segmenter = OracleSegmenter(imported_masks(masks, video.video_id, len(frames)))
         elif truths is None:
             raise LithovidError("oracle segmenter requires truth masks in the manifest")
         else:
@@ -302,7 +285,7 @@ def cmd_calibrate_seg(args) -> int:
 
 def cmd_train_cls(args) -> int:
     out = _make_out(args.out, is_file=True)
-    model = train_centroid(_training_samples(args), beta=args.beta)
+    model = train_centroid(_training_samples(args))
     _write_replacing(out, model.save)
     print(f"model with {len(model.centroids)} centroids written to {out}")
     return EXIT_OK
@@ -362,12 +345,8 @@ def cmd_run(args) -> int:
 
 
 def _load_timelines(timeline_dir: Path):
-    out = []
-    for path in sorted(Path(timeline_dir).glob("*.json")):
-        try:
-            out.append((path, *evaluate.timeline_from_json(path.read_text("utf-8"))))
-        except BAD_INPUT as exc:
-            raise LithovidError(f"{path} is not a valid timeline: {exc!r}") from None
+    out = [(path, *read_text(path, LithovidError, "timeline", evaluate.timeline_from_json))
+           for path in sorted(Path(timeline_dir).glob("*.json"))]
     if not out:
         raise LithovidError(f"no timeline files under {timeline_dir}")
     return out
@@ -450,7 +429,6 @@ def build_parser() -> _Parser:
     p.add_argument("--stills", type=_at_least(1), default=50, help="synthesized stills per class")
     p.add_argument("--per-video", type=_at_least(1), default=6, dest="per_video")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta", type=float, default=50.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_cls)
 

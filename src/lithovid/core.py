@@ -93,9 +93,7 @@ def argmax_scores(scores: Mapping[MorphClass, float]) -> MorphClass:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    if out is arr or out.base is arr:
-        out = arr.copy()
+    out = np.array(arr, order="C")  # one contiguous copy, whatever the layout of arr
     out.setflags(write=False)
     return out
 
@@ -174,8 +172,8 @@ class QcVerdict:
         if self.dsc is not None:
             if self.tag not in (QcTag.PASS, QcTag.REJECTED_INSTABILITY):
                 raise ValidationError(f"verdict {self.tag.value} cannot carry a dsc value")
-            if not 0.0 <= self.dsc <= 1.0:
-                raise ValidationError(f"dsc {self.dsc} outside [0, 1]")
+            if isinstance(self.dsc, bool) or not 0.0 <= self.dsc <= 1.0:
+                raise ValidationError(f"dsc must be a number in [0, 1], got {self.dsc!r}")
         elif self.tag is QcTag.REJECTED_INSTABILITY:
             raise ValidationError("RejectedInstability requires the evaluated dsc")
 
@@ -194,8 +192,9 @@ class PredictionRecord:
     label: Optional[MorphClass] = None
 
     def __post_init__(self) -> None:
-        if self.stream_index < 0:
-            raise ValidationError("stream_index must be non-negative")
+        index = self.stream_index  # JSON true, false and 1.0 are not indices
+        if isinstance(index, bool) or not isinstance(index, int) or index < 0:
+            raise ValidationError(f"stream_index must be a non-negative integer, got {index!r}")
         if self.qc.passed:
             if self.scores is None or self.label is None:
                 raise ValidationError("passing records require scores and a label")
@@ -204,8 +203,8 @@ class PredictionRecord:
                 raise ValidationError("score map must cover exactly the five classes")
             total = 0.0
             for c, s in scores.items():
-                if s < 0.0:
-                    raise ValidationError(f"negative score for {c.tag}")
+                if isinstance(s, bool) or s < 0.0:
+                    raise ValidationError(f"negative or boolean score {s!r} for {c.tag}")
                 total += s
             if abs(total - 1.0) > SCORE_SUM_TOL:
                 raise ValidationError(f"scores sum to {total!r}, not 1 within {SCORE_SUM_TOL}")

@@ -5,8 +5,8 @@ Everything user-facing derives from LithovidError so the CLI can map
 as an internal invariant violation. A subclass exists only where some
 `except` clause names it, so that a caller can act on that one failure;
 every other failure is a plain LithovidError, told apart by its message.
-The readers of JSON and CSV input files live here too, so what makes an
-input file bad is stated once.
+The readers of JSON, CSV and other text input files live here too, so what
+makes an input file bad is stated once.
 """
 
 import csv
@@ -42,6 +42,11 @@ def _read(path, error: type, what: str, parse: Callable):
     except BAD_INPUT as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise error(f"{what} {path}: {detail}") from None
+
+
+def read_text(path, error: type, what: str, parse: Callable):
+    """parse(the text of the file at path), checked as _read checks it."""
+    return _read(path, error, what, lambda fh: parse(fh.read()))
 
 
 def read_json(path, error: type, what: str, build: Callable):

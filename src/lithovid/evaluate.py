@@ -184,19 +184,12 @@ def timeline_to_json(
     truth_label: Optional[MorphClass] = None,
     variant: Optional[Variant] = None,
 ) -> str:
-    records = []
-    for r in timeline.records:
-        entry: dict = {
-            "stream_index": r.stream_index,
-            "qc": {"tag": r.qc.tag.value, "dsc": r.qc.dsc},
-        }
-        if r.qc.passed:
-            entry["scores"] = {c.tag: r.scores[c] for c in CANONICAL_ORDER}
-            entry["label"] = r.label.tag
-        else:
-            entry["scores"] = None
-            entry["label"] = None
-        records.append(entry)
+    records = [{
+        "stream_index": r.stream_index,
+        "qc": {"tag": r.qc.tag.value, "dsc": r.qc.dsc},
+        "scores": None if r.scores is None else {c.tag: r.scores[c] for c in CANONICAL_ORDER},
+        "label": None if r.label is None else r.label.tag,
+    } for r in timeline.records]
     payload = {
         "video_id": timeline.video_id,
         "truth_label": None if truth_label is None else truth_label.tag,
@@ -210,26 +203,19 @@ def timeline_to_json(
 
 
 def timeline_from_json(text: str) -> tuple[VideoTimeline, Optional[MorphClass], Optional[Variant]]:
+    """The timeline, truth label and variant a timeline JSON holds. Every record has scores
+    and label keys, null or not: PredictionRecord alone decides what its QC tag allows."""
     payload = json.loads(text)
-    records = []
-    for entry in payload["records"]:
-        tag = QcTag(entry["qc"]["tag"])
-        verdict = QcVerdict(tag, dsc=entry["qc"]["dsc"])
-        if verdict.passed:
-            scores = {MorphClass.from_tag(k): v for k, v in entry["scores"].items()}
-            records.append(
-                PredictionRecord(
-                    stream_index=entry["stream_index"],
-                    qc=verdict,
-                    scores=scores,
-                    label=MorphClass.from_tag(entry["label"]),
-                )
-            )
-        else:
-            records.append(PredictionRecord(stream_index=entry["stream_index"], qc=verdict))
+    records = tuple(PredictionRecord(
+        entry["stream_index"],
+        QcVerdict(QcTag(entry["qc"]["tag"]), entry["qc"]["dsc"]),
+        None if entry["scores"] is None
+        else {MorphClass.from_tag(k): v for k, v in entry["scores"].items()},
+        None if entry["label"] is None else MorphClass.from_tag(entry["label"]),
+    ) for entry in payload["records"])
     timeline = VideoTimeline(
         video_id=payload["video_id"],
-        records=tuple(records),
+        records=records,
         decision=None if payload["decision"] is None else MorphClass.from_tag(payload["decision"]),
         decision_path=(
             None if payload["decision_path"] is None else DecisionPath(payload["decision_path"])

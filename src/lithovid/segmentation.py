@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Protocol, Sequence, Union
 import numpy as np
 from scipy import ndimage
 
-from .core import FrameGrid, StoneMask
+from .core import FRAME_SIDE, FrameGrid, StoneMask
 from .errors import LithovidError, ValidationError, read_json
 
 BCE_EPS = 1e-7
@@ -172,6 +172,9 @@ class ChromaSegmenter:
         cov = np.asarray(self.background_cov, dtype=np.float64).reshape(3, 3)
         if not 0 < self.tau < math.inf:
             raise LithovidError(f"tau must be positive and finite, got {self.tau!r}")
+        px, px_max = self.min_component_px, FRAME_SIDE ** 2  # past px_max every mask is empty
+        if isinstance(px, bool) or not isinstance(px, int) or not 1 <= px <= px_max:
+            raise LithovidError(f"min_component_px must be an integer in [1, {px_max}], got {px!r}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise LithovidError("background mean and covariance must be finite")
         try:
@@ -217,7 +220,7 @@ class ChromaSegmenter:
             background_mean=np.array(payload["background_mean"], dtype=np.float64),
             background_cov=np.array(payload["background_cov"], dtype=np.float64),
             tau=float(payload["tau"]),
-            min_component_px=int(payload.get("min_component_px", 64)),
+            min_component_px=payload["min_component_px"],
         ))
 
 

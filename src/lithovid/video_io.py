@@ -3,7 +3,8 @@
 Raw videos live in one directory per video: binary P6 portable pixmaps
 (frame_%06d.ppm) plus manifest.json, with optional P5 ground-truth masks
 (0 = background, 255 = stone). Streams are standardized by temporal
-resampling to 8 Hz and center-crop + bilinear resize to 256x256.
+resampling to 8 Hz and center-crop + bilinear resize to 256x256. Masks
+imported from an external segmenter are named and read as truth masks are.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import FRAME_SIDE, STREAM_FPS, FrameGrid, MorphClass, StoneMask
 from .errors import CorruptManifest, LithovidError, ValidationError, read_json
 
 MANIFEST_NAME = "manifest.json"
+_MASK_NAME = "mask_{:06d}.pgm"  # frame k's truth mask; imported masks are named so too
 MIN_FRAME_SIDE = 16
 # the 8 Hz stream repeats each native frame for as long as it lasts, so a rate near 0 asks
 # for an unbounded stream (1e-300 fps: ~1e301 frames); here a frame fills at most 1 s
@@ -229,17 +231,20 @@ def _read_pnm(path: Path, magic: bytes, channels: int, raster: bool = True):
     comments) and the raster's length is taken from the file size."""
     if not path.is_file():
         raise LithovidError(f"frame file not found: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read(-1 if raster else _HEADER_PROBE)
-        try:
-            w, h, pos = _parse_pnm_header(path, data, magic)
-            complete = pos <= len(data)
-        except CorruptManifest:
-            complete = False
-        if not complete:  # the header may run past the probe
-            data += fh.read()
-            w, h, pos = _parse_pnm_header(path, data, magic)
-        size = len(data) if raster else os.fstat(fh.fileno()).st_size
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(-1 if raster else _HEADER_PROBE)
+            try:
+                w, h, pos = _parse_pnm_header(path, data, magic)
+                complete = pos <= len(data)
+            except CorruptManifest:
+                complete = False
+            if not complete:  # the header may run past the probe
+                data += fh.read()
+                w, h, pos = _parse_pnm_header(path, data, magic)
+            size = len(data) if raster else os.fstat(fh.fileno()).st_size
+    except OSError as exc:  # unreadable, not missing: a permission, an I/O error
+        raise LithovidError(f"cannot read {path}: {exc.strerror or exc}") from None
     shape = (h, w) if channels == 1 else (h, w, channels)
     if size < pos + w * h * channels:
         raise CorruptManifest(f"{path} raster is truncated")
@@ -256,6 +261,10 @@ def read_pgm(path: Path) -> np.ndarray:
     return _read_pnm(Path(path), b"P5", 1)
 
 
+def _read_mask(path: Path) -> np.ndarray:  # stone where the byte is above 127
+    return read_pgm(path) > 127
+
+
 # -- stream container --------------------------------------------------------
 
 
@@ -270,7 +279,7 @@ def store_stream(video: RawVideo, dir_path: Path) -> Path:
         entry: dict = {"file": name}
         mask = None if video.truth_masks is None else video.truth_masks[i]  # read once if lazy
         if mask is not None:
-            mask_name = f"mask_{i:06d}.pgm"
+            mask_name = _MASK_NAME.format(i)
             write_pgm(out / mask_name, mask)
             entry["truth_mask"] = mask_name
         if video.truth_label is not None:
@@ -369,7 +378,7 @@ def load_stream(manifest_path: Path) -> RawVideo:
             raise LithovidError(f"truth mask {i} does not match its frame")
 
     def read_mask(k: int) -> Optional[np.ndarray]:
-        return None if m.masks[k] is None else read_pgm(base / m.masks[k]) > 127
+        return None if m.masks[k] is None else _read_mask(base / m.masks[k])
 
     return RawVideo(
         video_id=m.video_id,
@@ -378,6 +387,19 @@ def load_stream(manifest_path: Path) -> RawVideo:
         truth_masks=LazySequence(len(m.files), read_mask) if any(m.masks) else None,
         truth_label=m.truth_label,
     )
+
+
+def imported_masks(masks_root: Path, video_id: str, n: int) -> LazySequence:
+    """The 256x256 stone masks of a video's n stream frames, from an external segmenter: mask k
+    is <masks_root>/<video_id>/mask_%06d.pgm, read each time it is accessed."""
+    def read(k: int) -> StoneMask:
+        path = Path(masks_root) / video_id / _MASK_NAME.format(k)
+        bits = _read_mask(path)
+        if bits.shape != (FRAME_SIDE, FRAME_SIDE):
+            raise LithovidError(f"{path} has shape {bits.shape}, not {(FRAME_SIDE,) * 2}")
+        return StoneMask(bits)
+
+    return LazySequence(n, read)
 
 
 def list_video_dirs(root: Path) -> list[Path]:

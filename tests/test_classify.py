@@ -304,7 +304,7 @@ class TestCentroidModel:
 
     def test_sample_at_centroid_dominates(self):
         samples = [(f, m, c) for c in CANONICAL_ORDER for f, m in [make_still(c, 200 + c.rank)]]
-        model = train_centroid(samples, beta=100.0)
+        model = CentroidModel(train_centroid(samples).centroids, beta=100.0)
         f, m = make_still(IA, 200)
         assert model.predict(f, m)[IA] > 0.99
 

@@ -283,6 +283,11 @@ class TestRunCommand:
         overlays = list((out / "overlays" / "Ia-clean-000").glob("frame_*.ppm"))
         assert len(overlays) == 48  # 6 s at 8 Hz
 
+    def test_every_overlay_label_has_a_glyph(self):
+        from lithovid.cli import _GLYPHS
+
+        assert set("X").union(*(c.display for c in CANONICAL_ORDER)) <= set(_GLYPHS)
+
     def test_overlay_segments_each_frame_once(self, workspace, tmp_path, monkeypatch):
         from lithovid.cli import render_overlay
         from lithovid.segmentation import ChromaSegmenter
@@ -345,6 +350,41 @@ class TestRunCommand:
         written = sorted(p.name for p in out.glob("*.json"))
         assert written == sorted(f"{d.name}.json" for d in dirs if d != bad)
         for name in written:  # the same bytes as a run of the intact cohort
+            assert (out / name).read_bytes() == (workspace / "timelines" / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unreadable_frame_spares_the_rest(self, workspace, tmp_path, capsys, monkeypatch,
+                                              workers):
+        """Opening frame 3 of a 16 fps video fails as an unreadable file would. The frame is
+        off the 8 Hz grid, so only load_stream's header check opens it."""
+        import builtins
+        import shutil
+
+        from lithovid import video_io
+
+        videos = tmp_path / "cohort"
+        shutil.copytree(workspace / "cohort", videos)
+        bad = videos / "IIb-clean-000"
+        edit_json(bad / "manifest.json", bad / "manifest.json", lambda p: p.update(native_fps=16))
+        frame = bad / "frame_000003.ppm"
+        assert 3 not in video_io.stream_indices(video_io.load_stream(bad))
+
+        def unreadable(path, *args, **kwargs):
+            if Path(path) == frame:
+                raise PermissionError(13, "Permission denied", str(path))
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(video_io, "open", unreadable, raising=False)
+        monkeypatch.setenv("LITHO_WORKERS", workers)
+        out = tmp_path / "out"
+        code = main(["run", "--videos", str(videos), "--out", str(out),
+                     "--model", str(workspace / "model.json")])
+        assert code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert errors == [f"error: {bad}: cannot read {frame}: Permission denied"]
+        written = sorted(p.name for p in out.glob("*.json"))
+        assert len(written) == 4 and f"{bad.name}.json" not in written
+        for name in written:
             assert (out / name).read_bytes() == (workspace / "timelines" / name).read_bytes()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -690,6 +730,22 @@ class TestInputBoundaries:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", [None, True, 64.9, -5, 0, 10**9, 65537, "64"],
+                             ids=["missing", "true", "64.9", "-5", "0", "1e9", "65537", "string"])
+    def test_bad_min_component_px_is_data_error(self, workspace, tmp_path, capsys, value):
+        """A JSON integer from 1 to 65,536, the pixels of one frame; no default fills it in."""
+        cal = edit_json(workspace / "cal.json", tmp_path / "cal.json",
+                        lambda p: p.pop("min_component_px") if value is None
+                        else p.update(min_component_px=value))
+        code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
+                     "--out", str(tmp_path / "o"), "--segmenter", "chroma",
+                     "--calibration", str(cal), "--model", str(workspace / "model.json")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot load calibration from {cal}: ")
+        assert "min_component_px" in err[0]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("content", [None, b"frame,Ia,IIb,IIIb,IaIIb,IaIIIb\n0,\xff\n"],
                              ids=["missing", "not-utf8"])
     def test_unreadable_score_csv_is_data_error(self, workspace, tmp_path, capsys, content):
@@ -876,7 +932,7 @@ class TestUnreadableInputFiles:
                      "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {bad} is not a valid timeline: ")
+        assert len(err) == 1 and err[0].startswith(f"error: timeline {bad}: ")
         assert not out.exists()
 
 
@@ -1054,9 +1110,53 @@ class TestEvalCommand:
         out = tmp_path / "o"
         assert main(["eval", "--timelines", str(timelines), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {bad} is not a valid timeline: ")
+        assert len(err) == 1 and err[0].startswith(f"error: timeline {bad}: ")
         assert "decision" in err[0]
         assert not out.exists()
+
+    def edited_timeline_fails_eval(self, workspace, tmp_path, capsys, change):
+        """eval of the workspace timelines with Ia-clean-000's records edited: exit 2, one error
+        line naming that file, nothing written."""
+        import shutil
+
+        timelines = tmp_path / "tl"
+        shutil.copytree(workspace / "timelines", timelines)
+        bad = timelines / "Ia-clean-000.json"
+        edit_json(bad, bad, lambda p: change(p["records"]))
+        out = tmp_path / "o"
+        assert main(["eval", "--timelines", str(timelines), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: timeline {bad}: ")
+        assert not out.exists()
+        return err[0]
+
+    @pytest.mark.parametrize("change", [
+        lambda r: r[0].update(stream_index=False),
+        lambda r: r[1].update(stream_index=True),
+        lambda r: r[1].update(stream_index=1.0),
+        lambda r: r[1]["qc"].update(dsc=True),
+        lambda r: r[1].update(scores={"Ia": True, "IIb": False, "IIIb": 0, "IaIIb": 0,
+                                      "IaIIIb": 0}),
+    ], ids=["index-false", "index-true", "index-1.0", "dsc-true", "boolean-scores"])
+    def test_boolean_or_non_integral_number_is_data_error(self, workspace, tmp_path, capsys,
+                                                          change):
+        """Python counts true as 1 and 1.0 == 1, but neither is what the writer writes."""
+        second = load_timeline(workspace, "Ia-clean-000.json")[0].records[1]
+        assert second.label is MorphClass.IA and second.qc.dsc == 1.0
+        self.edited_timeline_fails_eval(workspace, tmp_path, capsys, change)
+
+    @pytest.mark.parametrize("change, detail", [
+        (lambda r: r[0].update(label="Ia"), "rejected records cannot carry"),
+        (lambda r: r[0].update(scores=r[1]["scores"]), "rejected records cannot carry"),
+        (lambda r: r[0].pop("scores"), "missing field 'scores'"),
+        (lambda r: r[0].pop("label"), "missing field 'label'"),
+    ], ids=["label", "scores", "no-scores-key", "no-label-key"])
+    def test_rejected_record_holds_null_scores_and_label(self, workspace, tmp_path, capsys,
+                                                         change, detail):
+        """The writer gives every record both keys, null on a record QC rejected."""
+        first = load_timeline(workspace, "Ia-clean-000.json")[0].records[0]
+        assert not first.qc.passed
+        assert detail in self.edited_timeline_fails_eval(workspace, tmp_path, capsys, change)
 
     def test_missing_truth_directory_is_data_error(self, workspace, tmp_path, capsys):
         absent = tmp_path / "absent"
@@ -1250,6 +1350,13 @@ class TestExitCodes:
 
     def test_run_requires_videos(self):
         assert main(["run", "--out", "/tmp/x"]) == 1
+
+    def test_train_cls_takes_no_beta(self, tmp_path, capsys):
+        """The model's beta is classify.DEFAULT_BETA."""
+        out = tmp_path / "m.json"
+        assert main(["train-cls", "--stills", "2", "--beta", "50", "--out", str(out)]) == 1
+        assert "--beta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_video_dir_is_data_error(self, tmp_path):
         model = tmp_path / "m.json"

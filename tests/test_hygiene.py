@@ -15,6 +15,13 @@ UNREAD_ALLOWED = {"bce_loss_grad", "dice_loss_grad", "combined_loss"}
 # parses JSON or CSV itself; timeline_from_json parses text, which is how perfbench calls it
 PARSE_CALLS = {("json", "load"), ("json", "loads"), ("csv", "reader")}
 PARSE_ALLOWED = {"timeline_from_json"}
+# keyword parameters that a test passes and no call in src/lithovid or perfbench names,
+# each with the reason it stays; the check fails on any other, and on a stale entry
+KEYWORD_ALLOWED = {
+    ("phantom.py", fn, "duration_s"): "cmd_phantom calls each profile builder through "
+                                      "PROFILE_BUILDERS, passing the duration by position"
+    for fn in ("clean_spec", "default_event_mix")
+}
 
 
 def imported_names(tree):
@@ -202,12 +209,19 @@ def test_parse_check_sees_calls():
     assert parse_calls(source) == [5, 6]
 
 
-def caught_names(tree):
-    """Every name an except clause names: alone, in a tuple or as a module attribute."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
+def handler_names(tree):
+    """(line, names) of each except clause: the names it catches, alone, in a tuple or as a
+    module attribute."""
+    return [(handler.lineno, {n.id if isinstance(n, ast.Name) else n.attr
+                              for n in ast.walk(handler.type)
+                              if isinstance(n, (ast.Name, ast.Attribute))})
             for handler in ast.walk(tree)
-            if isinstance(handler, ast.ExceptHandler) and handler.type is not None
-            for n in ast.walk(handler.type) if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None]
+
+
+def caught_names(tree):
+    """Every name an except clause names."""
+    return set().union(*(names for _, names in handler_names(tree)))
 
 
 def uncaught_classes(errors_source, sources):
@@ -246,3 +260,115 @@ def test_exception_check_sees_uncaught_classes():
         "    raise OnlyRaised(str(exc))\n"
     )
     assert uncaught_classes(errors, [user]) == ["OnlyRaised"]
+
+
+def bad_input_catches(source):
+    """Line of each except clause that names BAD_INPUT."""
+    return [line for line, names in handler_names(ast.parse(source)) if "BAD_INPUT" in names]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_only_the_readers_catch_bad_input(path):
+    """errors' readers turn a faulty input file into one error naming it; a module that
+    catches BAD_INPUT itself states that rule a second time."""
+    assert bad_input_catches(path.read_text("utf-8")) == []
+
+
+def test_bad_input_check_sees_catches():
+    source = (
+        "from . import errors\n"
+        "from .errors import BAD_INPUT\n"
+        "try:\n"
+        "    f()\n"
+        "except BAD_INPUT:\n"
+        "    pass\n"
+        "try:\n"
+        "    f()\n"
+        "except OSError:\n"
+        "    pass\n"
+        "except (KeyError, errors.BAD_INPUT) as exc:\n"
+        "    raise ValueError(BAD_INPUT) from exc\n"
+    )
+    assert bad_input_catches(source) == [5, 11]
+
+
+def keyword_params(tree):
+    """(function, parameter, position) of each parameter with a default of each public
+    top-level function and each public method of a public class. position counts the
+    arguments a call writes, so a method's self or cls is left out; None: keyword-only."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs = [(node, 0)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            defs = [(d, 0 if any(getattr(x, "id", None) == "staticmethod"
+                                 for x in d.decorator_list) else 1)
+                    for d in node.body if isinstance(d, ast.FunctionDef)]
+        else:
+            continue
+        for d, skip in defs:
+            if d.name.startswith("_"):
+                continue
+            args = (d.args.posonlyargs + d.args.args)[skip:]
+            first = len(args) - len(d.args.defaults)
+            for position, arg in enumerate(args[first:], start=first):
+                yield d.name, arg.arg, position
+            for arg, default in zip(d.args.kwonlyargs, d.args.kw_defaults):
+                if default is not None:
+                    yield d.name, arg.arg, None
+
+
+def passed(trees, function, param, position):
+    """Whether some call of a function so named passes param: by name or **mapping, or, when
+    it has a position, by position or *sequence."""
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) != function:
+            continue
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        if position is not None and (len(call.args) > position
+                                     or any(isinstance(a, ast.Starred) for a in call.args)):
+            return True
+    return False
+
+
+def keywords_only_tests_pass(modules, callers, tests):
+    """(module, function, parameter) of each keyword parameter of modules (file name to
+    source) that some source in tests passes and no source in callers does."""
+    callers = [ast.parse(source) for source in callers]
+    tests = [ast.parse(source) for source in tests]
+    return [(name, function, param)
+            for name, source in modules.items()
+            for function, param, position in keyword_params(ast.parse(source))
+            if passed(tests, function, param, position)
+            and not passed(callers, function, param, position)]
+
+
+def test_every_keyword_parameter_has_a_caller_outside_tests():
+    """A keyword parameter that only tests pass is surface to delete. The package and
+    perfbench's non-test files are callers; KEYWORD_ALLOWED lists the exceptions."""
+    modules = {p.name: p.read_text("utf-8") for p in MODULES}
+    perfbench = [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    callers = [p.read_text("utf-8") for p in [*PACKAGE.glob("*.py"), *perfbench]]
+    tests = [p.read_text("utf-8") for p in (ROOT / "tests").glob("*.py")]
+    assert sorted(keywords_only_tests_pass(modules, callers, tests)) == sorted(KEYWORD_ALLOWED)
+
+
+def test_keyword_check_sees_parameters_only_tests_pass():
+    module = (
+        "def f(a, by_name=1, by_position=2, *, kw_only=3, unpassed=4): pass\n"
+        "def g(x=0): pass\n"
+        "def h(v=0): pass\n"
+        "class C:\n"
+        "    def m(self, y=0): pass\n"
+        "    @staticmethod\n"
+        "    def s(z=0): pass\n"
+        "    def _private(self, w=0): pass\n"
+        "class _Hidden:\n"
+        "    def n(self, u=0): pass\n"
+    )
+    caller = "f(0, by_name=1)\nf(0, 1, 2)\nobj.m(5)\nC.s(1)\nh(**options)\n"
+    tests = ("f(0, by_name=1, by_position=2, kw_only=3)\ng(x=1)\nobj.m(y=1)\nC.s(z=2)\n"
+             "h(v=1)\nobj._private(w=1)\nobj.n(u=1)\n")
+    assert keywords_only_tests_pass({"a.py": module}, [caller], [tests]) == [
+        ("a.py", "f", "kw_only"), ("a.py", "g", "x")]
