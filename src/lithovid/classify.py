@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Protocol
 import numpy as np
 
 from .core import CANONICAL_ORDER, FrameGrid, MorphClass, StoneMask
-from .errors import LithovidError, ValidationError, read_csv, read_json
+from .errors import LithovidError, ValidationError, json_number, read_csv, read_json
 
 RGB_BINS = 8          # per channel, 8x8x8 = 512 color bins
 GRAD_BINS = 16
@@ -148,9 +148,10 @@ class CentroidModel:
     @classmethod
     def load(cls, path: Path) -> "CentroidModel":
         return read_json(path, LithovidError, "cannot load model from", lambda payload: cls(
-            centroids={MorphClass.from_tag(tag): np.array(vec, dtype=np.float64)
+            centroids={MorphClass.from_tag(tag): np.array([json_number(x, f"centroid {tag}")
+                                                           for x in vec])
                        for tag, vec in payload["centroids"].items()},
-            beta=float(payload["beta"])))
+            beta=json_number(payload["beta"], "beta")))
 
 
 def train_centroid(samples: Iterable[tuple[FrameGrid, StoneMask, MorphClass]]) -> CentroidModel:

@@ -54,6 +54,14 @@ def read_json(path, error: type, what: str, build: Callable):
     return _read(path, error, what, lambda fh: build(json.load(fh)))
 
 
+def json_number(value, what: str) -> float:
+    """A JSON number as a float; anything else, a string or a bool included, is a TypeError
+    naming what (type(), not isinstance: JSON true is a bool, and a bool is an int)."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def read_csv(path, error: type, what: str) -> list[list[str]]:
     """The rows of the CSV file at path, checked as _read checks it."""
     return _read(path, error, what, lambda fh: list(csv.reader(fh)))

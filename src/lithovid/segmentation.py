@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import FRAME_SIDE, FrameGrid, StoneMask
-from .errors import LithovidError, ValidationError, read_json
+from .errors import LithovidError, ValidationError, json_number, read_json
 
 BCE_EPS = 1e-7
 
@@ -217,9 +217,11 @@ class ChromaSegmenter:
     @classmethod
     def load(cls, path: Path) -> "ChromaSegmenter":
         return read_json(path, LithovidError, "cannot load calibration from", lambda payload: cls(
-            background_mean=np.array(payload["background_mean"], dtype=np.float64),
-            background_cov=np.array(payload["background_cov"], dtype=np.float64),
-            tau=float(payload["tau"]),
+            background_mean=[json_number(x, "background_mean")
+                             for x in payload["background_mean"]],
+            background_cov=[[json_number(x, "background_cov") for x in row]
+                            for row in payload["background_cov"]],
+            tau=json_number(payload["tau"], "tau"),
             min_component_px=payload["min_component_px"],
         ))
 

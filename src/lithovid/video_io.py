@@ -14,9 +14,12 @@ import math
 import operator
 import os
 import sys
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -37,16 +40,21 @@ MAX_VIDEO_ID_BYTES = 255 - len("..json.1234567.tmp")
 
 
 class LazySequence(Sequence):
-    """Read-only sequence whose item k is make(k), computed on every access and never kept."""
+    """Read-only sequence whose item k is make(k), computed on every access and never kept.
 
-    def __init__(self, n: int, make: Callable[[int], object]) -> None:
+    Iterating it calls iterate() if given, which must yield make(0), make(1), ... in order."""
+
+    def __init__(self, n: int, make: Callable[[int], object],
+                 iterate: Optional[Callable[[], Iterator]] = None) -> None:
         self._n, self._make = n, make
+        # map, not Sequence's default, which would end early on an IndexError from make
+        self._iterate = iterate or (lambda: map(make, range(n)))
 
     def __len__(self) -> int:
         return self._n
 
-    def __iter__(self):  # Sequence's default would end early on an IndexError from make
-        return map(self._make, range(self._n))
+    def __iter__(self):
+        return self._iterate()
 
     def __getitem__(self, k: int):
         return self._make(range(self._n)[operator.index(k)])  # IndexError past either end
@@ -412,10 +420,15 @@ def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequenc
 
     Both are lazy sequences: stream item k reads native item
     stream_indices(video)[k] and normalizes it each time it is accessed,
-    keeping nothing, so one pass holds one frame at a time. One resize plan,
-    built by the first frame that needs it, serves the whole video: every
-    frame gets a fresh array, but the plan's scratch is shared, so a stream
-    is not meant to be consumed from several threads at once.
+    keeping nothing. One resize plan, built by the first frame that needs
+    it, serves the whole video: every frame gets a fresh array, but the
+    plan's scratch is shared, so frames are made by one thread at a time.
+    Iterating the frames makes frame 0 on the caller's thread. If its square
+    crop is larger than 256x256 (an HD video), the next two frames, in stream
+    order, are then made on one helper thread while the caller works on the
+    current one; the helper is joined when the iteration ends, is closed or
+    raises. A frame's error is raised when the caller reaches that frame, and
+    native frames are still decoded one at a time.
     """
     native = stream_indices(video)
     plans: dict[tuple[int, ...], Callable[[np.ndarray], np.ndarray]] = {}  # by crop shape
@@ -436,5 +449,18 @@ def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequenc
         m = video.truth_masks[native[k]]
         return None if m is None else normalize_mask(m)
 
-    frames = LazySequence(len(native), frame)
+    def stream() -> Iterator[FrameGrid]:
+        yield frame(0)
+        if next(iter(plans))[0] <= FRAME_SIDE:  # frame 0's crop side: not HD, so made inline
+            yield from map(frame, range(1, len(native)))
+            return
+        with ThreadPoolExecutor(1, thread_name_prefix="lithovid-read-ahead") as pool:
+            todo = iter(range(1, len(native)))
+            ahead = deque(pool.submit(frame, k) for k in islice(todo, 2))
+            while ahead:  # at most two frames asked for past the one the caller holds
+                made = ahead.popleft()
+                ahead.extend(pool.submit(frame, k) for k in islice(todo, 1))
+                yield made.result()
+
+    frames = LazySequence(len(native), frame, stream)
     return frames, None if video.truth_masks is None else LazySequence(len(native), mask)

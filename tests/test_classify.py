@@ -336,7 +336,7 @@ class TestCentroidModel:
         with pytest.raises(ValidationError, match="centroid for IIb has non-finite values"):
             CentroidModel(centroids=cents)
 
-    @pytest.mark.parametrize("beta", ['"x"', "NaN", "Infinity", "[1]"])
+    @pytest.mark.parametrize("beta", ['"x"', "NaN", "Infinity", "[1]", '"50"', "true"])
     def test_load_bad_beta_names_file(self, small_model, tmp_path, beta):
         path = tmp_path / "model.json"
         small_model.save(path)

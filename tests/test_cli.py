@@ -685,6 +685,187 @@ class TestRunCommand:
         assert str(config) in capsys.readouterr().err
 
 
+HD_FRAMES = 12  # at 8 fps every native frame is a grid frame
+
+
+def write_hd_video(video_dir, n, fps=8.0, seed=0):
+    """Write a video of n random 640x480 frames under video_dir."""
+    from lithovid.video_io import write_ppm
+
+    rng = np.random.Generator(np.random.Philox(key=[640, seed]))
+    video_dir.mkdir(parents=True)
+    paths = [video_dir / f"frame_{k:06d}.ppm" for k in range(n)]
+    for path in paths:
+        write_ppm(path, rng.integers(0, 256, (480, 640, 3), np.uint8))
+    manifest = {"video_id": video_dir.name, "native_fps": fps,
+                "frames": [{"file": path.name} for path in paths]}
+    (video_dir / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+
+
+def run_overlaid(workspace, videos, out):
+    """`run --overlay` through the chroma segmenter and the centroid model."""
+    return main(["run", "--videos", str(videos), "--out", str(out), "--overlay",
+                 "--segmenter", "chroma", "--calibration", str(workspace / "cal.json"),
+                 "--model", str(workspace / "model.json")])
+
+
+@pytest.fixture(scope="module")
+def hd(workspace, tmp_path_factory):
+    """A one-video cohort of 640x480 frames and the output of an intact `run --overlay`."""
+    root = tmp_path_factory.mktemp("hd")
+    write_hd_video(root / "videos" / "hd", HD_FRAMES)
+    assert run_overlaid(workspace, root / "videos", root / "intact") == 0
+    return root
+
+
+class TestHdReadAhead:
+    """An HD video's next frames are read and resized on one helper thread. Failures, outputs
+    and the threads left behind are those of the one-frame-at-a-time pass."""
+
+    @pytest.fixture(autouse=True)
+    def one_worker(self, monkeypatch):
+        monkeypatch.delenv("LITHO_WORKERS", raising=False)
+
+    @staticmethod
+    def assert_overlays_as_intact(hd, out, count):
+        overlays = out / "overlays" / "hd"
+        names = sorted(p.name for p in overlays.iterdir())
+        assert names == [f"frame_{k:06d}.ppm" for k in range(count)]
+        for name in names:
+            assert (overlays / name).read_bytes() == \
+                (hd / "intact" / "overlays" / "hd" / name).read_bytes()
+
+    @pytest.mark.parametrize("k", [1, 5, HD_FRAMES - 1])
+    def test_truncated_frame_fails_as_the_serial_pass_did(self, workspace, hd, tmp_path, capsys,
+                                                          monkeypatch, k):
+        """Frame k is cut short after load_stream checked it, as frame 0 is decoded: exit 2,
+        one error line naming it, the overlays of frames 0..k-1 and no timeline."""
+        import shutil
+        import threading
+
+        from lithovid import video_io
+
+        videos = tmp_path / "videos"
+        shutil.copytree(hd / "videos", videos)
+        frame = videos / "hd" / f"frame_{k:06d}.ppm"
+        read_ppm = video_io.read_ppm
+
+        def truncating(path):
+            if path.name == "frame_000000.ppm":
+                frame.write_bytes(frame.read_bytes()[:-10])
+            return read_ppm(path)
+
+        monkeypatch.setattr(video_io, "read_ppm", truncating)
+        before = threading.enumerate()
+        out = tmp_path / "o"
+        assert run_overlaid(workspace, videos, out) == 2
+        assert threading.enumerate() == before
+        err = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert err == [f"error: {videos / 'hd'}: {frame} raster is truncated"]
+        self.assert_overlays_as_intact(hd, out, k)
+        assert not (out / "hd.json").exists()
+
+    def test_segment_error_stops_the_helper(self, workspace, hd, tmp_path, capsys, monkeypatch):
+        """segment fails on frame 3: the helper makes at most the two frames past it, then
+        is joined."""
+        import threading
+
+        from lithovid import video_io
+        from lithovid.segmentation import ChromaSegmenter
+
+        decoded = []
+        read_ppm, segment = video_io.read_ppm, ChromaSegmenter.segment
+
+        def recording(path):
+            decoded.append(path.name)
+            return read_ppm(path)
+
+        def failing(self, frame):
+            if frame.stream_index == 3:
+                raise LithovidError("segmenter failed")
+            return segment(self, frame)
+
+        monkeypatch.setattr(video_io, "read_ppm", recording)
+        monkeypatch.setattr(ChromaSegmenter, "segment", failing)
+        before = threading.enumerate()
+        out = tmp_path / "o"
+        assert run_overlaid(workspace, hd / "videos", out) == 2
+        assert threading.enumerate() == before
+        err = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert err == [f"error: {hd / 'videos' / 'hd'}: segmenter failed"]
+        assert 4 <= len(decoded) <= 6
+        assert decoded == [f"frame_{k:06d}.ppm" for k in range(len(decoded))]
+        self.assert_overlays_as_intact(hd, out, 3)
+
+    def test_reads_each_grid_frame_once_in_order_on_one_helper(self, workspace, tmp_path,
+                                                                monkeypatch):
+        import threading
+
+        from lithovid import video_io
+
+        write_hd_video(tmp_path / "videos" / "hd", 24, fps=24.0)  # every third is a grid frame
+        reads, started = [], []
+        read_ppm, start = video_io.read_ppm, threading.Thread.start
+
+        def recording(path):
+            reads.append((path.name, threading.current_thread().name))
+            return read_ppm(path)
+
+        def starting(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(video_io, "read_ppm", recording)
+        monkeypatch.setattr(threading.Thread, "start", starting)
+        before = threading.enumerate()
+        assert run_overlaid(workspace, tmp_path / "videos", tmp_path / "o") == 0
+        assert threading.enumerate() == before
+        assert [name for name, _ in reads] == [f"frame_{k:06d}.ppm" for k in range(0, 24, 3)]
+        assert reads[0][1] == threading.main_thread().name
+        assert len(started) == 1 and {thread for _, thread in reads[1:]} == set(started)
+
+    def test_grid_sized_video_starts_no_thread(self, workspace, tmp_path, monkeypatch):
+        import threading
+
+        started = []
+        start = threading.Thread.start
+
+        def starting(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", starting)
+        assert run_overlaid(workspace, workspace / "cohort", tmp_path / "o") == 0
+        assert started == []
+
+    def test_workers_give_the_same_bytes_and_fork_with_no_helper(self, workspace, tmp_path,
+                                                                 monkeypatch):
+        import threading
+
+        from lithovid import cli
+
+        videos = tmp_path / "videos"
+        for seed, name in enumerate(["hd-a", "hd-b"]):
+            write_hd_video(videos / name, 6, seed=seed)
+        at_fork = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                at_fork.append(threading.enumerate())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        before = threading.enumerate()
+        digests = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("LITHO_WORKERS", workers)
+            assert run_overlaid(workspace, videos, tmp_path / workers) == 0
+            assert len(list((tmp_path / workers / "overlays").rglob("*.ppm"))) == 12
+            digests.append(tree_digest(tmp_path / workers))
+        assert digests[0] == digests[1]
+        assert at_fork == [before]
+
+
 def one_video(workspace, root):
     import shutil
 
@@ -705,7 +886,12 @@ class TestInputBoundaries:
         lambda p: p.update(beta=math.nan),
         lambda p: p["centroids"]["IIb"].__setitem__(3, math.inf),
         lambda p: p["centroids"].pop("IaIIIb"),
-    ], ids=["beta-string", "beta-nan", "centroid-inf", "class-missing"])
+        lambda p: p.update(beta="50"),
+        lambda p: p.update(beta=True),
+        lambda p: p.update(centroids={t: [str(x) for x in v] for t, v in p["centroids"].items()}),
+        lambda p: p.update(centroids={t: [True] * len(v) for t, v in p["centroids"].items()}),
+    ], ids=["beta-string", "beta-nan", "centroid-inf", "class-missing", "beta-numeric-string",
+            "beta-true", "centroids-strings", "centroids-true"])
     def test_bad_model_is_data_error(self, workspace, tmp_path, capsys, change):
         model = edit_json(workspace / "model.json", tmp_path / "model.json", change)
         code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
@@ -728,6 +914,24 @@ class TestInputBoundaries:
                      "--calibration", str(cal), "--model", str(workspace / "model.json")])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("change", [
+        lambda p: p.update(tau="6.2"),
+        lambda p: p.update(tau=True),
+        lambda p: p.update(background_mean=[str(x) for x in p["background_mean"]]),
+        lambda p: p["background_cov"][2].__setitem__(2, True),
+    ], ids=["tau-string", "tau-true", "mean-strings", "cov-true"])
+    def test_calibration_value_that_is_not_a_number_is_data_error(self, workspace, tmp_path,
+                                                                  capsys, change):
+        cal = edit_json(workspace / "cal.json", tmp_path / "cal.json", change)
+        code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
+                     "--out", str(tmp_path / "o"), "--segmenter", "chroma",
+                     "--calibration", str(cal), "--model", str(workspace / "model.json")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot load calibration from {cal}: ")
+        assert "must be a JSON number" in err[0]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", [None, True, 64.9, -5, 0, 10**9, 65537, "64"],

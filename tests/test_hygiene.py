@@ -293,6 +293,46 @@ def test_bad_input_check_sees_catches():
     assert bad_input_catches(source) == [5, 11]
 
 
+def thread_sites(source):
+    """Sorted lines that import threading (or _thread) or ThreadPoolExecutor, or that read
+    ThreadPoolExecutor as an attribute (concurrent.futures.ThreadPoolExecutor)."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules, names = [alias.name for alias in node.names], []
+        elif isinstance(node, ast.ImportFrom):
+            modules, names = [node.module or ""], [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "ThreadPoolExecutor":
+            modules, names = [], [node.attr]
+        else:
+            continue
+        if ({m.split(".")[0] for m in modules} & {"threading", "_thread"}
+                or "ThreadPoolExecutor" in names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_video_io_starts_threads():
+    """normalize_video reads an HD video ahead on one helper thread, which a fork pool must
+    never inherit; a second module that starts threads is a design change to review."""
+    assert {p.name for p in PACKAGE.glob("*.py")
+            if thread_sites(p.read_text("utf-8"))} == {"video_io.py"}
+
+
+def test_thread_check_sees_imports():
+    source = (
+        "import threading\n"
+        "import concurrent.futures\n"
+        "from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor\n"
+        "from threading import Lock\n"
+        "import _thread as low\n"
+        "pool = concurrent.futures.ThreadPoolExecutor(1)\n"
+        "other = ProcessPoolExecutor(2)\n"
+        "import os.path\n"
+    )
+    assert thread_sites(source) == [1, 3, 4, 5, 6]
+
+
 def keyword_params(tree):
     """(function, parameter, position) of each parameter with a default of each public
     top-level function and each public method of a public class. position counts the
