@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Protocol, Sequence, Union
 
@@ -110,6 +111,8 @@ def combined_loss(p: ProbLike, t: MaskLike, smooth: float = 1.0) -> float:
 
 # -- mask cleanup -------------------------------------------------------------
 
+_FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
+
 
 def clean_mask(bits: np.ndarray, min_component_px: int) -> np.ndarray:
     """Drop 4-connected components below min_component_px, then fill holes.
@@ -123,10 +126,12 @@ def clean_mask(bits: np.ndarray, min_component_px: int) -> np.ndarray:
         return out
     cols = np.flatnonzero(bits.any(axis=0))
     box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-    labels, _ = ndimage.label(bits[box])
+    labels, _ = ndimage.label(bits[box], _FOUR_CONNECTED)
     keep = np.bincount(labels.ravel()) >= min_component_px
     keep[0] = False
-    background, _ = ndimage.label(np.pad(~keep[labels], 1, constant_values=True))
+    ringed = np.ones((labels.shape[0] + 2, labels.shape[1] + 2), dtype=bool)
+    ringed[1:-1, 1:-1] = (~keep)[labels]
+    background, _ = ndimage.label(ringed, _FOUR_CONNECTED)
     out[box] = background[1:-1, 1:-1] != background[0, 0]
     return out
 
@@ -200,9 +205,57 @@ class ChromaSegmenter:
             out += term
         return out
 
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_blue_bounds"}  # built per process
+
+    @cached_property
+    def _blue_bounds(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """uint8 lo and hi at (r << 8) | g: b in [lo, hi] has distances_sq <= tau²."""
+        inv, mean, tau_sq = self._inv_cov, self.background_mean, self.tau * self.tau
+        reach = np.maximum(np.abs(mean), np.abs(255.0 - mean))
+        err, a = 64 * 2.0**-53 * (reach @ np.abs(inv) @ reach + tau_sq), inv[2, 2]
+        if not 16 * err < a:
+            return None
+        dr, dg = np.arange(256.0) - mean[0], np.arange(256.0) - mean[1]
+        beta = np.add.outer((inv[0, 2] + inv[2, 0]) / 2 * dr, (inv[1, 2] + inv[2, 1]) / 2 * dg)
+        c = np.add.outer(inv[0, 0] * dr * dr, inv[1, 1] * dg * dg)
+        c += (inv[0, 1] + inv[1, 0]) * np.outer(dr, dg)
+        disc = (beta * beta - a * (c - tau_sq)).ravel()
+        rows = np.flatnonzero(disc >= -2 * a * err)
+        half, mid = np.sqrt(np.maximum(disc[rows], 0.0)), -beta.ravel()[rows]
+        roots = np.stack([mid - half, mid + half], axis=1) / a + mean[2]
+        blue = np.clip(np.rint(roots)[..., None] + np.arange(-2, 3), 0, 255).reshape(-1, 10)
+        px = np.empty(blue.shape + (3,), dtype=np.uint8)
+        px[..., 0], px[..., 1], px[..., 2] = (rows >> 8)[:, None], (rows & 255)[:, None], blue
+        inside = self.distances_sq(px) <= tau_sq
+        lo, hi = np.ones(1 << 16, np.uint8), np.zeros(1 << 16, np.uint8)  # lo > hi: empty
+        lo[rows] = np.where(inside, blue, 255).min(axis=1)
+        hi[rows] = np.where(inside, blue, 0).max(axis=1)
+        return lo, hi
+
     def segment(self, frame: FrameGrid) -> StoneMask:
-        d2 = self.distances_sq(frame.pixels)
-        raw = d2 > self.tau * self.tau
+        """Candidates are the pixels with distances_sq > tau², looked up per (r, g) row.
+
+        On a row, h(b) = q(b) - tau² is a convex parabola in b, leading coefficient
+        a = inv_cov[2, 2]. E = 64u(reach.|inv_cov|.reach + tau²), u = 2^-53 and reach the
+        largest |colour - mean| per channel, bounds distances_sq's rounding error on any
+        colour, and aE that of the row discriminant. The table exists only if a > 16E
+        (else every pixel takes distances_sq). Where |h| > E the float decision is exact;
+        |h| <= E only within sqrt(E/a) < 1/4 of a real root, or of the vertex if none.
+        - A row whose float discriminant is below -2aE has h > E throughout: empty.
+        - The rounded roots are within 3/4 of the real ones, so b outside the +-2 windows
+          is over 2 from both roots and decided exactly: out beyond them, in between.
+        - Each side's undecided b lie within an interval shorter than sqrt(2E/a) < 1 at
+          the exact transition (two adjacent ones merged near the vertex), so the float
+          inside set is one interval, both ends in a window, decided by distances_sq.
+        """
+        px, bounds = frame.pixels, self._blue_bounds
+        if bounds is None:
+            raw = self.distances_sq(px) > self.tau * self.tau
+        else:
+            rg = (px[..., 0].astype(np.intp) << 8) | px[..., 1]
+            blue = px[..., 2].copy()  # contiguous, so the two compares run faster
+            raw = (blue < bounds[0][rg]) | (blue > bounds[1][rg])
         return StoneMask(clean_mask(raw, self.min_component_px))
 
     def save(self, path: Path) -> None:

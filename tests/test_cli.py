@@ -228,6 +228,18 @@ class TestRunCommand:
             del os.environ["LITHO_WORKERS"]
         assert tree_digest(out) == tree_digest(workspace / "timelines")
 
+    def test_workers_env_does_not_change_chroma_bytes(self, workspace, tmp_path, monkeypatch):
+        """Each worker builds the chroma segmenter's blue-bound table for itself."""
+        digests = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("LITHO_WORKERS", workers)
+            out = tmp_path / workers
+            assert main(["run", "--videos", str(workspace / "cohort"), "--out", str(out),
+                         "--segmenter", "chroma", "--calibration", str(workspace / "cal.json"),
+                         "--classifier", "centroid", "--model", str(workspace / "model.json")]) == 0
+            digests.append(tree_digest(out))
+        assert digests[0] == digests[1]
+
     def test_no_qc_variant_labels_every_frame(self, workspace, tmp_path):
         out = tmp_path / "noqc"
         assert main(["run", "--videos", str(workspace / "cohort"), "--out", str(out),

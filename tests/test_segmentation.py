@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
+from lithovid import segmentation
 from lithovid.core import FrameGrid, MorphClass, StoneMask
 from lithovid.errors import LithovidError
 from lithovid.phantom import (
@@ -386,3 +388,76 @@ class TestDistancesExact:
         monkeypatch.setattr(ChromaSegmenter, "distances_sq", reference_distances_sq)
         calibrate_chroma((f, m) for f, m, _ in stills).save(tmp_path / "old.json")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+
+def colour_blocks():
+    """All 2^24 colours as 256 frames, one per red value, green down and blue across."""
+    block = np.empty((256, 256, 3), dtype=np.uint8)
+    block[..., 1] = np.arange(256)[:, None]
+    block[..., 2] = np.arange(256)
+    for red in range(256):
+        block[..., 0] = red
+        yield block
+
+
+def edge_calibration(case):
+    rng = np.random.Generator(np.random.Philox(key=[5, 5]))
+    m = rng.normal(size=(3, 3))
+    corr = np.array([[1.0, 0.999, 0.998], [0.999, 1.0, 0.999], [0.998, 0.999, 1.0]])
+    mean, cov, tau = {
+        "random spd": (rng.uniform(0.0, 255.0, size=3), m @ m.T * 40.0 + 4.0 * np.eye(3), 3.0),
+        "every colour inside": (np.full(3, 100.0), 4.0 * np.eye(3), 1e4),
+        "every row empty": (np.array([-50.0, 300.5, 400.0]), 4.0 * np.eye(3), 0.01),
+        "correlated": (np.array([100.0, 120.0, 140.0]), 900.0 * corr, 5.0),
+        "integer roots": (np.full(3, 128.0), np.eye(3), 3.0),
+    }[case]
+    return ChromaSegmenter(background_mean=mean, background_cov=cov, tau=tau)
+
+
+def inside_colours(seg):
+    lo, hi = seg._blue_bounds
+    return int(np.maximum(hi.astype(int) - lo + 1, 0).sum())
+
+
+class TestBlueBoundsExact:
+    """segment's per-(r, g) blue interval decides every colour as distances_sq > tau² does."""
+
+    @pytest.mark.parametrize("case", ["fitted", "random spd", "every colour inside",
+                                      "every row empty", "correlated", "integer roots"])
+    def test_every_colour_decided_as_the_quadratic_form(self, case, chroma, monkeypatch):
+        seg = chroma if case == "fitted" else edge_calibration(case)
+        monkeypatch.setattr(segmentation, "clean_mask", lambda bits, _: bits)
+        for block in colour_blocks():
+            raw = seg.segment(FrameGrid(block)).bits
+            assert np.array_equal(raw, seg.distances_sq(block) > seg.tau**2), block[0, 0, 0]
+
+    def test_edge_cases_are_what_they_say(self):
+        assert inside_colours(edge_calibration("every colour inside")) == 1 << 24
+        assert inside_colours(edge_calibration("every row empty")) == 0
+        seg = edge_calibration("integer roots")
+        on_roots = np.array([[128, 128, 125], [128, 128, 131], [131, 128, 128]], np.uint8)
+        assert seg.distances_sq(on_roots).tolist() == [9.0, 9.0, 9.0]
+        assert inside_colours(seg) == 123  # integer points with x² + y² + z² <= 9
+
+    def test_ill_conditioned_calibration_keeps_the_quadratic_form(self):
+        seg = ChromaSegmenter(background_mean=np.full(3, 128.0),
+                              background_cov=np.diag([1e-6, 1.0, 1e4]), tau=3.0)
+        assert seg._blue_bounds is None
+        rng = np.random.Generator(np.random.Philox(key=[5, 7]))
+        frame = FrameGrid(rng.integers(0, 256, (256, 256, 3), np.uint8))
+        raw = seg.distances_sq(frame.pixels) > seg.tau**2
+        assert np.array_equal(seg.segment(frame).bits, clean_mask(raw, seg.min_component_px))
+
+    def test_table_stays_out_of_the_pickle(self, chroma):
+        seg = ChromaSegmenter(background_mean=chroma.background_mean,
+                              background_cov=chroma.background_cov, tau=chroma.tau)
+        frame, _ = make_still(MorphClass.IA, 5000)
+        before = pickle.dumps(seg)
+        mask = seg.segment(frame)
+        assert "_blue_bounds" in vars(seg)
+        after = pickle.dumps(seg)
+        assert len(after) == len(before)
+        back = pickle.loads(after)
+        assert "_blue_bounds" not in vars(back)
+        assert np.array_equal(back.segment(frame).bits, mask.bits)
