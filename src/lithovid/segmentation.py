@@ -186,6 +186,12 @@ class ChromaSegmenter:
             inv = np.linalg.inv(cov)
         except np.linalg.LinAlgError:
             raise LithovidError("background covariance is singular") from None
+        if not np.array_equal(cov, cov.T):
+            raise LithovidError("background covariance must be symmetric")
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise LithovidError("background covariance must be positive definite") from None
         object.__setattr__(self, "background_mean", mean)
         object.__setattr__(self, "background_cov", cov)
         object.__setattr__(self, "_inv_cov", inv)

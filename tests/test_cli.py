@@ -928,6 +928,24 @@ class TestInputBoundaries:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("cov, rule", [
+        ([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]], "positive definite"),
+        ([[400.0, 0.0, 0.0], [0.0, 400.0, 0.0], [0.0, 0.0, -400.0]], "positive definite"),
+        ([[400.0, 300.0, 0.0], [-300.0, 400.0, 0.0], [0.0, 0.0, 400.0]], "symmetric"),
+    ], ids=["negative-definite", "indefinite", "not-symmetric"])
+    def test_calibration_covariance_not_spd_is_data_error(self, workspace, tmp_path, capsys,
+                                                          cov, rule):
+        """Each would run to exit 0 with wrong or missing decisions."""
+        cal = edit_json(workspace / "cal.json", tmp_path / "cal.json",
+                        lambda p: p.update(background_cov=cov))
+        code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
+                     "--out", str(tmp_path / "o"), "--segmenter", "chroma",
+                     "--calibration", str(cal), "--model", str(workspace / "model.json")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot load calibration from {cal}: background covariance must be {rule}"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("change", [
         lambda p: p.update(tau="6.2"),
         lambda p: p.update(tau=True),

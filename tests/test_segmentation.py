@@ -339,6 +339,16 @@ class TestChromaSegmenter:
         with pytest.raises(LithovidError, match="^(tau|background mean).* finite"):
             ChromaSegmenter(**fields)
 
+    @pytest.mark.parametrize("cov, rule", [
+        (-np.eye(3), "positive definite"),
+        (np.diag([400.0, 400.0, -400.0]), "positive definite"),
+        (np.array([[400.0, 300.0, 0.0], [-300.0, 400.0, 0.0], [0.0, 0.0, 400.0]]), "symmetric"),
+    ], ids=["negative-definite", "indefinite", "not-symmetric"])
+    def test_covariance_that_is_not_spd_rejected(self, cov, rule):
+        """Each is finite and invertible; a Mahalanobis distance needs an SPD covariance."""
+        with pytest.raises(LithovidError, match=f"^background covariance must be {rule}$"):
+            ChromaSegmenter(background_mean=np.zeros(3), background_cov=cov, tau=3.0)
+
     def test_singular_covariance_rejected(self):
         with pytest.raises(LithovidError, match="^background covariance is singular$"):
             ChromaSegmenter(
