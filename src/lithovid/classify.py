@@ -17,13 +17,13 @@ from typing import Iterable, Mapping, Protocol
 import numpy as np
 
 from .core import CANONICAL_ORDER, FrameGrid, MorphClass, StoneMask
-from .errors import LithovidError, ValidationError, json_number, read_csv, read_json
+from .errors import LithovidError, json_fields, json_number, read_csv, read_json
 
 RGB_BINS = 8          # per channel, 8x8x8 = 512 color bins
 GRAD_BINS = 16
 GRAD_BIN_WIDTH = 10.0  # gradient-magnitude bin width in intensity units
 FEATURE_DIM = RGB_BINS**3 + GRAD_BINS
-DEFAULT_BETA = 50.0
+BETA = 50.0  # softmin temperature: moves score digits, never the argmax
 IMPORT_SUM_TOL = 1e-6
 
 SCORE_HEADER = ["frame"] + [c.tag for c in CANONICAL_ORDER]
@@ -98,7 +98,7 @@ def features(frame: FrameGrid, mask: StoneMask) -> np.ndarray:
 def softmin_scores(distances: Mapping[MorphClass, float], beta: float) -> dict[MorphClass, float]:
     """exp(-beta*d) normalized over classes; beta 0 gives uniform scores."""
     if beta < 0:
-        raise ValidationError("beta must be non-negative")
+        raise LithovidError("beta must be non-negative")
     classes = [c for c in CANONICAL_ORDER if c in distances]
     d = np.array([distances[c] for c in classes], dtype=np.float64)
     w = np.exp(-beta * (d - d.min()))
@@ -111,18 +111,15 @@ class CentroidModel:
     """Feature centroids of all five classes, scored by a softmin over L1 distances."""
 
     centroids: Mapping[MorphClass, np.ndarray]
-    beta: float = DEFAULT_BETA
 
     def __post_init__(self) -> None:
-        if not 0 <= self.beta < math.inf:
-            raise ValidationError(f"beta must be finite and non-negative, got {self.beta!r}")
         cents = {}
         for c, v in self.centroids.items():
             arr = np.asarray(v, dtype=np.float64)
             if arr.shape != (FEATURE_DIM,):
-                raise ValidationError(f"centroid for {c.tag} has shape {arr.shape}")
+                raise LithovidError(f"centroid for {c.tag} has shape {arr.shape}")
             if not np.isfinite(arr).all():
-                raise ValidationError(f"centroid for {c.tag} has non-finite values")
+                raise LithovidError(f"centroid for {c.tag} has non-finite values")
             arr = arr.copy()
             arr.setflags(write=False)
             cents[c] = arr
@@ -136,26 +133,21 @@ class CentroidModel:
         dists = {
             c: float(np.abs(feat - cent).sum()) for c, cent in self.centroids.items()
         }
-        return softmin_scores(dists, self.beta)
+        return softmin_scores(dists, BETA)
 
     def save(self, path: Path) -> None:
-        payload = {
-            "beta": float(self.beta),
-            "centroids": {c.tag: [float(x) for x in v] for c, v in self.centroids.items()},
-        }
+        payload = {"centroids": {c.tag: [float(x) for x in v] for c, v in self.centroids.items()}}
         Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", "utf-8")
 
     @classmethod
     def load(cls, path: Path) -> "CentroidModel":
-        return read_json(path, LithovidError, "cannot load model from", lambda payload: cls(
-            centroids={MorphClass.from_tag(tag): np.array([json_number(x, f"centroid {tag}")
-                                                           for x in vec])
-                       for tag, vec in payload["centroids"].items()},
-            beta=json_number(payload["beta"], "beta")))
+        return read_json(path, "cannot load model from", lambda payload: cls(
+            {MorphClass.from_tag(tag): np.array([json_number(x, f"centroid {tag}") for x in vec])
+             for tag, vec in json_fields(payload, "centroids")[0].items()}))
 
 
 def train_centroid(samples: Iterable[tuple[FrameGrid, StoneMask, MorphClass]]) -> CentroidModel:
-    """Average the feature vectors of each class into its centroid; beta is DEFAULT_BETA."""
+    """Average the feature vectors of each class into its centroid."""
     sums: dict[MorphClass, np.ndarray] = {}
     counts: dict[MorphClass, int] = {}
     for i, (frame, mask, label) in enumerate(samples):
@@ -202,7 +194,7 @@ def import_scores(path: Path) -> dict[int, dict[MorphClass, float]]:
     bit-faithfully.
     """
     path = Path(path)
-    rows = read_csv(path, LithovidError, "cannot read scores")
+    rows = read_csv(path, "cannot read scores")
     if not rows:
         raise LithovidError(f"{path} is empty")
     header = rows[0]

@@ -34,7 +34,7 @@ from .classify import (
     train_centroid,
 )
 from .core import CANONICAL_ORDER, FrameGrid, MorphClass, StoneMask
-from .errors import CorruptManifest, LithovidError, ValidationError, read_json, read_text
+from .errors import LithovidError, read_json, read_text
 from .pipeline import Variant, run_timeline
 from .qc import QcConfig
 from .rng import derive_seed
@@ -94,7 +94,7 @@ def _config_argv(args) -> list[str]:
     values as it checks flags, and flags win. JSON null means not given.
     """
     # {**p} raises a TypeError unless the config is a JSON object
-    payload = read_json(args.config, LithovidError, "config", lambda p: {**p})
+    payload = read_json(args.config, "config", lambda p: {**p})
     unknown = set(payload) - (set(vars(args)) - {"command", "func", "config"})
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -299,7 +299,7 @@ def cmd_run(args) -> int:
         raise LithovidError(f"video directory not found: {videos_root}")
     try:
         qc = QcConfig(min_coverage=args.min_coverage, min_dsc=args.min_dsc)
-    except ValidationError as exc:
+    except LithovidError as exc:
         raise UsageError(str(exc)) from None
     for option, kind, needs in (("segmenter", "chroma", "calibration"),
                                 ("segmenter", "import", "masks"),
@@ -319,7 +319,7 @@ def cmd_run(args) -> int:
     for video_dir in video_dirs:
         try:
             readable.append((read_manifest(video_dir).video_id, video_dir))
-        except CorruptManifest:
+        except LithovidError:
             pass  # that video's own job reports it
     _require_unique_ids(readable)
 
@@ -345,7 +345,7 @@ def cmd_run(args) -> int:
 
 
 def _load_timelines(timeline_dir: Path):
-    out = [(path, *read_text(path, LithovidError, "timeline", evaluate.timeline_from_json))
+    out = [(path, *read_text(path, "timeline", evaluate.timeline_from_json))
            for path in sorted(Path(timeline_dir).glob("*.json"))]
     if not out:
         raise LithovidError(f"no timeline files under {timeline_dir}")

@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import LithovidError
 
 FRAME_SIDE = 256
 STREAM_FPS = 8.0
@@ -65,7 +65,7 @@ class MorphClass(Enum):
         try:
             return cls(tag)
         except ValueError:
-            raise ValidationError(f"unknown morphology tag {tag!r}") from None
+            raise LithovidError(f"unknown morphology tag {tag!r}") from None
 
 
 CANONICAL_ORDER: tuple[MorphClass, ...] = tuple(MorphClass)
@@ -84,12 +84,12 @@ def argmax_scores(scores: Mapping[MorphClass, float]) -> MorphClass:
     """Highest-scoring class, exact ties broken by canonical order."""
     for c, s in scores.items():
         if not math.isfinite(s):
-            raise ValidationError(f"non-finite score {s!r} for {c.tag}")
+            raise LithovidError(f"non-finite score {s!r} for {c.tag}")
     best = max(scores.values(), default=None)
     for c in CANONICAL_ORDER:
         if c in scores and scores[c] == best:
             return c
-    raise ValidationError("empty score map")
+    raise LithovidError("empty score map")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -112,11 +112,11 @@ class FrameGrid:
     def __post_init__(self) -> None:
         px = np.asarray(self.pixels)
         if px.dtype != np.uint8 or px.ndim != 3 or px.shape != (FRAME_SIDE, FRAME_SIDE, 3):
-            raise ValidationError(
+            raise LithovidError(
                 f"frame must be {FRAME_SIDE}x{FRAME_SIDE}x3 uint8, got {px.dtype} {px.shape}"
             )
         if self.stream_index < 0:
-            raise ValidationError("stream_index must be non-negative")
+            raise LithovidError("stream_index must be non-negative")
         object.__setattr__(self, "pixels", _frozen(px))
 
 
@@ -129,10 +129,10 @@ class StoneMask:
     def __post_init__(self) -> None:
         b = np.asarray(self.bits)
         if b.ndim != 2 or b.size == 0:
-            raise ValidationError(f"mask must be a non-empty 2D grid, got shape {b.shape}")
+            raise LithovidError(f"mask must be a non-empty 2D grid, got shape {b.shape}")
         if b.dtype != np.bool_:
             if not np.isin(b, (0, 1)).all():
-                raise ValidationError("mask values must be binary")
+                raise LithovidError("mask values must be binary")
             b = b.astype(bool)
         object.__setattr__(self, "bits", _frozen(b))
 
@@ -171,11 +171,11 @@ class QcVerdict:
     def __post_init__(self) -> None:
         if self.dsc is not None:
             if self.tag not in (QcTag.PASS, QcTag.REJECTED_INSTABILITY):
-                raise ValidationError(f"verdict {self.tag.value} cannot carry a dsc value")
+                raise LithovidError(f"verdict {self.tag.value} cannot carry a dsc value")
             if isinstance(self.dsc, bool) or not 0.0 <= self.dsc <= 1.0:
-                raise ValidationError(f"dsc must be a number in [0, 1], got {self.dsc!r}")
+                raise LithovidError(f"dsc must be a number in [0, 1], got {self.dsc!r}")
         elif self.tag is QcTag.REJECTED_INSTABILITY:
-            raise ValidationError("RejectedInstability requires the evaluated dsc")
+            raise LithovidError("RejectedInstability requires the evaluated dsc")
 
     @property
     def passed(self) -> bool:
@@ -194,26 +194,26 @@ class PredictionRecord:
     def __post_init__(self) -> None:
         index = self.stream_index  # JSON true, false and 1.0 are not indices
         if isinstance(index, bool) or not isinstance(index, int) or index < 0:
-            raise ValidationError(f"stream_index must be a non-negative integer, got {index!r}")
+            raise LithovidError(f"stream_index must be a non-negative integer, got {index!r}")
         if self.qc.passed:
             if self.scores is None or self.label is None:
-                raise ValidationError("passing records require scores and a label")
+                raise LithovidError("passing records require scores and a label")
             scores = dict(self.scores)
             if set(scores) != set(CANONICAL_ORDER):
-                raise ValidationError("score map must cover exactly the five classes")
+                raise LithovidError("score map must cover exactly the five classes")
             total = 0.0
             for c, s in scores.items():
                 if isinstance(s, bool) or s < 0.0:
-                    raise ValidationError(f"negative or boolean score {s!r} for {c.tag}")
+                    raise LithovidError(f"negative or boolean score {s!r} for {c.tag}")
                 total += s
             if abs(total - 1.0) > SCORE_SUM_TOL:
-                raise ValidationError(f"scores sum to {total!r}, not 1 within {SCORE_SUM_TOL}")
+                raise LithovidError(f"scores sum to {total!r}, not 1 within {SCORE_SUM_TOL}")
             if self.label is not argmax_scores(scores):
-                raise ValidationError("label must be the canonical argmax of the scores")
+                raise LithovidError("label must be the canonical argmax of the scores")
             object.__setattr__(self, "scores", scores)
         else:
             if self.scores is not None or self.label is not None:
-                raise ValidationError("rejected records cannot carry scores or a label")
+                raise LithovidError("rejected records cannot carry scores or a label")
 
     @classmethod
     def rejected(cls, stream_index: int, verdict: QcVerdict) -> "PredictionRecord":
@@ -251,19 +251,19 @@ class VideoTimeline:
 
     def __post_init__(self) -> None:
         if not isinstance(self.video_id, str):
-            raise ValidationError(f"video_id must be a string, got {self.video_id!r}")
+            raise LithovidError(f"video_id must be a string, got {self.video_id!r}")
         records = tuple(self.records)
         for i, rec in enumerate(records):
             if rec.stream_index != i:
-                raise ValidationError(
+                raise LithovidError(
                     f"records must cover stream indices 0..n-1 without gaps; "
                     f"position {i} holds index {rec.stream_index}"
                 )
         any_pass = any(r.qc.passed for r in records)
         if any_pass != (self.decision is not None):
-            raise ValidationError("decision must be present iff at least one record passed QC")
+            raise LithovidError("decision must be present iff at least one record passed QC")
         if (self.decision is None) != (self.decision_path is None):
-            raise ValidationError("decision and decision_path must be present together")
+            raise LithovidError("decision and decision_path must be present together")
         object.__setattr__(self, "records", records)
 
     @property

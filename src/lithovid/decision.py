@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import CANONICAL_ORDER, DecisionPath, MorphClass, argmax_scores
-from .errors import LithovidError, ValidationError
+from .errors import LithovidError
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,10 @@ class LabelCensus:
         full = {c: 0 for c in CANONICAL_ORDER}
         for c, n in self.counts.items():
             if n < 0:
-                raise ValidationError(f"negative count for {c.tag}")
+                raise LithovidError(f"negative count for {c.tag}")
             full[c] = int(n)
         if sum(full.values()) < 1:
-            raise ValidationError("census must count at least one label")
+            raise LithovidError("census must count at least one label")
         object.__setattr__(self, "counts", full)
 
     @property

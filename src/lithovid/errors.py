@@ -1,12 +1,10 @@
-"""Exception types raised across the pipeline.
+"""The one exception type of the pipeline, and the readers of its input files.
 
-Everything user-facing derives from LithovidError so the CLI can map
-"bad data" failures to one exit code; anything else escaping is treated
-as an internal invariant violation. A subclass exists only where some
-`except` clause names it, so that a caller can act on that one failure;
-every other failure is a plain LithovidError, told apart by its message.
-The readers of JSON, CSV and other text input files live here too, so what
-makes an input file bad is stated once.
+Every expected failure is a LithovidError, told apart by its message, so
+the CLI can map "bad data" failures to one exit code; anything else
+escaping is treated as an internal invariant violation. The readers of
+JSON, CSV and other text input files live here too, so what makes an
+input file bad is stated once.
 """
 
 import csv
@@ -15,15 +13,7 @@ from typing import Callable
 
 
 class LithovidError(Exception):
-    """Base class for all expected pipeline failures."""
-
-
-class ValidationError(LithovidError):
-    """A domain object was constructed with inconsistent fields."""
-
-
-class CorruptManifest(LithovidError):
-    """A manifest or PNM header is unreadable; caught by video_io._read_pnm and cli.cmd_run."""
+    """An expected pipeline failure: bad input data or an inconsistent domain object."""
 
 
 # an input file is at fault: missing or a directory (OSError); not UTF-8, malformed or holding
@@ -33,25 +23,35 @@ BAD_INPUT = (OSError, ValueError, RecursionError, OverflowError, LookupError, Ty
              AttributeError, csv.Error, LithovidError)
 
 
-def _read(path, error: type, what: str, parse: Callable):
+def _read(path, what: str, parse: Callable):
     """parse(the UTF-8 file at path, open); a fault in the file, or in what parse makes of it,
-    is raised as error("<what> <path>: <detail>")."""
+    is raised as LithovidError("<what> <path>: <detail>")."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             return parse(fh)
     except BAD_INPUT as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise error(f"{what} {path}: {detail}") from None
+        raise LithovidError(f"{what} {path}: {detail}") from None
 
 
-def read_text(path, error: type, what: str, parse: Callable):
+def read_text(path, what: str, parse: Callable):
     """parse(the text of the file at path), checked as _read checks it."""
-    return _read(path, error, what, lambda fh: parse(fh.read()))
+    return _read(path, what, lambda fh: parse(fh.read()))
 
 
-def read_json(path, error: type, what: str, build: Callable):
+def read_json(path, what: str, build: Callable):
     """build(payload) of the JSON file at path, checked as _read checks it."""
-    return _read(path, error, what, lambda fh: build(json.load(fh)))
+    return _read(path, what, lambda fh: build(json.load(fh)))
+
+
+def json_fields(payload, *keys: str) -> list:
+    """The values at keys of a JSON object that holds exactly those keys: a missing one is a
+    KeyError (read as missing field '<key>'), any other a LithovidError naming it."""
+    values = [payload[key] for key in keys]
+    unknown = sorted(set(payload) - set(keys))
+    if unknown:
+        raise LithovidError(f"unknown field {', '.join(map(repr, unknown))}")
+    return values
 
 
 def json_number(value, what: str) -> float:
@@ -62,6 +62,6 @@ def json_number(value, what: str) -> float:
     return float(value)
 
 
-def read_csv(path, error: type, what: str) -> list[list[str]]:
+def read_csv(path, what: str) -> list[list[str]]:
     """The rows of the CSV file at path, checked as _read checks it."""
-    return _read(path, error, what, lambda fh: list(csv.reader(fh)))
+    return _read(path, what, lambda fh: list(csv.reader(fh)))

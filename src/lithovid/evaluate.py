@@ -27,7 +27,7 @@ from .core import (
     VideoTimeline,
 )
 from .decision import LabelCensus, decide
-from .errors import LithovidError, ValidationError, read_csv
+from .errors import LithovidError, read_csv
 from .pipeline import Variant, run_raw_video
 
 
@@ -46,8 +46,10 @@ METRICS_HEADER = ("variant", "class", *METRIC_NAMES)
 
 
 def round_half_up_percent(fraction: float) -> int:
-    """Round a [0, 1] fraction to integer percent, halves upward."""
-    return int(math.floor(fraction * 100.0 + 0.5))
+    """Round a [0, 1] fraction to integer percent, halves upward. The percent is rounded to 9
+    decimals first, so a half that float arithmetic puts just below, as 57.49999999999999
+    for (1/5 + 19/20) / 2, still goes up."""
+    return int(math.floor(round(fraction * 100.0, 9) + 0.5))
 
 
 def sample_std(values: Sequence[float]) -> float:
@@ -93,7 +95,7 @@ class MeanStd:
 def overall_scores(per_class: Mapping[MorphClass, ClassMetrics]) -> dict[str, MeanStd]:
     """Mean and sample std of each metric over the five classes."""
     if set(per_class) != set(CANONICAL_ORDER):
-        raise ValidationError("overall scores require metrics for all five classes")
+        raise LithovidError("overall scores require metrics for all five classes")
     out = {}
     for name in METRIC_NAMES:
         values = [getattr(per_class[c], name) for c in CANONICAL_ORDER]
@@ -127,7 +129,7 @@ def framewise_analysis(
 def qc_pass_stats(timelines: Sequence[VideoTimeline]) -> MeanStd:
     """Mean +- sample std over videos of the per-video QC pass fraction."""
     if not timelines:
-        raise ValidationError("qc_pass_stats requires at least one timeline")
+        raise LithovidError("qc_pass_stats requires at least one timeline")
     fractions = [tl.pass_fraction for tl in timelines]
     return MeanStd(mean=sum(fractions) / len(fractions), std=sample_std(fractions))
 
@@ -225,7 +227,7 @@ def timeline_from_json(text: str) -> tuple[VideoTimeline, Optional[MorphClass], 
     derived = decide(LabelCensus.from_labels(labels)) if labels else (None, None)
     census = payload.get("census")
     if (timeline.decision, timeline.decision_path) != derived or census != _census(labels):
-        raise ValidationError("decision, decision_path or census disagrees with the records")
+        raise LithovidError("decision, decision_path or census disagrees with the records")
     truth = None if payload.get("truth_label") is None else MorphClass.from_tag(payload["truth_label"])
     variant = None if payload.get("variant") is None else Variant(payload["variant"])
     return timeline, truth, variant
@@ -292,7 +294,7 @@ def read_metrics(paths: Sequence[str]) -> list[list[str]]:
     holders: dict[str, dict[str, None]] = {}  # variant -> the files with its rows, in order
     out = []
     for path in paths:
-        rows = read_csv(path, LithovidError, "cannot read metrics file")
+        rows = read_csv(path, "cannot read metrics file")
         if rows[:1] != [header]:
             raise LithovidError(f"{path}:1: header is not {','.join(header)}")
         for line, row in enumerate(rows[1:], start=2):

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CANONICAL_ORDER, FRAME_SIDE, STREAM_FPS, FrameGrid, MorphClass, StoneMask
-from .errors import LithovidError, ValidationError
+from .errors import LithovidError
 from .rng import stream
 from .video_io import RawVideo
 
@@ -55,9 +55,9 @@ class EventScript:
 
     def __post_init__(self) -> None:
         if not self.t_start < self.t_end:
-            raise ValidationError(f"event interval [{self.t_start}, {self.t_end}] is empty")
+            raise LithovidError(f"event interval [{self.t_start}, {self.t_end}] is empty")
         if not 0.0 <= self.intensity <= 1.0:
-            raise ValidationError(f"intensity {self.intensity} outside [0, 1]")
+            raise LithovidError(f"intensity {self.intensity} outside [0, 1]")
 
     def active(self, t: float) -> bool:
         return self.t_start <= t < self.t_end
@@ -80,9 +80,9 @@ class Palette:
 
     def __post_init__(self) -> None:
         if len(self.base) != 3:
-            raise ValidationError(f"palette base needs 3 channels, got {len(self.base)}")
+            raise LithovidError(f"palette base needs 3 channels, got {len(self.base)}")
         if not all(math.isfinite(v) for v in (*self.base, self.ripple, self.speckle)):
-            raise ValidationError(f"palette values must be finite, got {self}")
+            raise LithovidError(f"palette values must be finite, got {self}")
 
 
 BACKGROUND_PALETTE = Palette(base=(150.0, 62.0, 72.0), ripple=0.10, speckle=0.02)
@@ -582,7 +582,7 @@ EVENT_RATES = {
 }
 
 
-def default_event_mix(seed: int, label: MorphClass, duration_s: float = 12.0) -> PhantomSpec:
+def default_event_mix(seed: int, label: MorphClass, duration_s: float) -> PhantomSpec:
     """Sample event presence at the observed clinical rates, seeded."""
     rng = stream(seed, "event-mix")
     draws = {name: float(rng.uniform()) < rate for name, rate in EVENT_RATES.items()}
@@ -616,7 +616,7 @@ def default_event_mix(seed: int, label: MorphClass, duration_s: float = 12.0) ->
     return PhantomSpec(seed=seed, label=label, duration_s=d, events=tuple(events))
 
 
-def clean_spec(seed: int, label: MorphClass, duration_s: float = 10.0) -> PhantomSpec:
+def clean_spec(seed: int, label: MorphClass, duration_s: float) -> PhantomSpec:
     """Well-behaved video: steady exam; mixed labels fragment early."""
     d = duration_s
     if label.is_mixed:
@@ -630,7 +630,7 @@ def clean_spec(seed: int, label: MorphClass, duration_s: float = 10.0) -> Phanto
     return PhantomSpec(seed=seed, label=label, duration_s=d, events=events)
 
 
-def adversarial_spec(seed: int, label: MorphClass, duration_s: float = 14.0) -> PhantomSpec:
+def adversarial_spec(seed: int, label: MorphClass, duration_s: float) -> PhantomSpec:
     """Hostile video: long stone-free tail, jitter, occlusion, glare."""
     d = duration_s
     events = (

@@ -19,8 +19,8 @@ from typing import Iterable, Optional, Protocol, Sequence, Union
 import numpy as np
 from scipy import ndimage
 
-from .core import FRAME_SIDE, FrameGrid, StoneMask
-from .errors import LithovidError, ValidationError, json_number, read_json
+from .core import FrameGrid, StoneMask
+from .errors import LithovidError, json_fields, json_number, read_json
 
 BCE_EPS = 1e-7
 
@@ -43,7 +43,7 @@ def _bits(mask: MaskLike) -> np.ndarray:
 def _probs(p: ProbLike) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise ValidationError("probabilities must lie in [0, 1]")
+        raise LithovidError("probabilities must lie in [0, 1]")
     return arr
 
 
@@ -112,6 +112,7 @@ def combined_loss(p: ProbLike, t: MaskLike, smooth: float = 1.0) -> float:
 # -- mask cleanup -------------------------------------------------------------
 
 _FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
+MIN_COMPONENT_PX = 64  # ChromaSegmenter.segment drops smaller candidate components
 
 
 def clean_mask(bits: np.ndarray, min_component_px: int) -> np.ndarray:
@@ -169,7 +170,6 @@ class ChromaSegmenter:
     background_mean: np.ndarray
     background_cov: np.ndarray
     tau: float
-    min_component_px: int = 64
     _inv_cov: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -177,9 +177,6 @@ class ChromaSegmenter:
         cov = np.asarray(self.background_cov, dtype=np.float64).reshape(3, 3)
         if not 0 < self.tau < math.inf:
             raise LithovidError(f"tau must be positive and finite, got {self.tau!r}")
-        px, px_max = self.min_component_px, FRAME_SIDE ** 2  # past px_max every mask is empty
-        if isinstance(px, bool) or not isinstance(px, int) or not 1 <= px <= px_max:
-            raise LithovidError(f"min_component_px must be an integer in [1, {px_max}], got {px!r}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise LithovidError("background mean and covariance must be finite")
         try:
@@ -262,27 +259,26 @@ class ChromaSegmenter:
             rg = (px[..., 0].astype(np.intp) << 8) | px[..., 1]
             blue = px[..., 2].copy()  # contiguous, so the two compares run faster
             raw = (blue < bounds[0][rg]) | (blue > bounds[1][rg])
-        return StoneMask(clean_mask(raw, self.min_component_px))
+        return StoneMask(clean_mask(raw, MIN_COMPONENT_PX))
 
     def save(self, path: Path) -> None:
         payload = {
             "background_mean": [float(x) for x in self.background_mean],
             "background_cov": [[float(x) for x in row] for row in self.background_cov],
             "tau": float(self.tau),
-            "min_component_px": int(self.min_component_px),
         }
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
 
     @classmethod
     def load(cls, path: Path) -> "ChromaSegmenter":
-        return read_json(path, LithovidError, "cannot load calibration from", lambda payload: cls(
-            background_mean=[json_number(x, "background_mean")
-                             for x in payload["background_mean"]],
-            background_cov=[[json_number(x, "background_cov") for x in row]
-                            for row in payload["background_cov"]],
-            tau=json_number(payload["tau"], "tau"),
-            min_component_px=payload["min_component_px"],
-        ))
+        def build(payload: dict) -> "ChromaSegmenter":
+            mean, cov, tau = json_fields(payload, "background_mean", "background_cov", "tau")
+            return cls(background_mean=[json_number(x, "background_mean") for x in mean],
+                       background_cov=[[json_number(x, "background_cov") for x in row]
+                                       for row in cov],
+                       tau=json_number(tau, "tau"))
+
+        return read_json(path, "cannot load calibration from", build)
 
 
 COV_RIDGE = 4.0  # keeps the background model invertible on flat scenes

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import FRAME_SIDE, STREAM_FPS, FrameGrid, MorphClass, StoneMask
-from .errors import CorruptManifest, LithovidError, ValidationError, read_json
+from .errors import LithovidError, read_json
 
 MANIFEST_NAME = "manifest.json"
 _MASK_NAME = "mask_{:06d}.pgm"  # frame k's truth mask; imported masks are named so too
@@ -78,12 +78,12 @@ class RawVideo:
 
     def __post_init__(self) -> None:
         if not MIN_NATIVE_FPS <= self.native_fps < math.inf:
-            raise ValidationError(f"native_fps {self.native_fps} is not in [{MIN_NATIVE_FPS}, inf)")
+            raise LithovidError(f"native_fps {self.native_fps} is not in [{MIN_NATIVE_FPS}, inf)")
         eager = not isinstance(self.frames, LazySequence)
         frames = tuple(self.frames) if eager else self.frames
         for i, f in enumerate(frames if eager else ()):
             if f.dtype != np.uint8 or f.ndim != 3 or f.shape[2] != 3:
-                raise ValidationError(f"frame {i} must be HxWx3 uint8")
+                raise LithovidError(f"frame {i} must be HxWx3 uint8")
             if f.shape != frames[0].shape:
                 raise LithovidError(
                     f"frame {i} has shape {f.shape[:2]}, expected {frames[0].shape[:2]}"
@@ -92,7 +92,7 @@ class RawVideo:
         if self.truth_masks is not None:
             masks = tuple(self.truth_masks) if eager else self.truth_masks
             if len(masks) != len(frames):
-                raise ValidationError("truth_masks must align one-to-one with frames")
+                raise LithovidError("truth_masks must align one-to-one with frames")
             for i, m in enumerate(masks if eager else ()):
                 if m is not None and m.shape != frames[i].shape[:2]:
                     raise LithovidError(f"truth mask {i} does not match its frame")
@@ -205,7 +205,7 @@ def write_pgm(path: Path, mask: np.ndarray) -> None:
 def _parse_pnm_header(path: Path, data: bytes, magic: bytes) -> tuple[int, int, int]:
     """(width, height, raster offset) from the start of a binary PNM file."""
     if not data.startswith(magic):
-        raise CorruptManifest(f"{path} is not a {magic.decode()} file")
+        raise LithovidError(f"{path} is not a {magic.decode()} file")
     # header = magic + 3 ASCII integers separated by whitespace (comments allowed)
     pos = len(magic)
     fields: list[int] = []
@@ -222,11 +222,11 @@ def _parse_pnm_header(path: Path, data: bytes, magic: bytes) -> tuple[int, int, 
         try:
             fields.append(int(data[start:pos]))
         except ValueError:
-            raise CorruptManifest(f"{path} has a malformed header") from None
+            raise LithovidError(f"{path} has a malformed header") from None
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255 or w <= 0 or h <= 0:
-        raise CorruptManifest(f"{path} must be 8-bit with positive dimensions")
+        raise LithovidError(f"{path} must be 8-bit with positive dimensions")
     return w, h, pos
 
 
@@ -245,7 +245,7 @@ def _read_pnm(path: Path, magic: bytes, channels: int, raster: bool = True):
             try:
                 w, h, pos = _parse_pnm_header(path, data, magic)
                 complete = pos <= len(data)
-            except CorruptManifest:
+            except LithovidError:
                 complete = False
             if not complete:  # the header may run past the probe
                 data += fh.read()
@@ -255,7 +255,7 @@ def _read_pnm(path: Path, magic: bytes, channels: int, raster: bool = True):
         raise LithovidError(f"cannot read {path}: {exc.strerror or exc}") from None
     shape = (h, w) if channels == 1 else (h, w, channels)
     if size < pos + w * h * channels:
-        raise CorruptManifest(f"{path} raster is truncated")
+        raise LithovidError(f"{path} raster is truncated")
     if not raster:
         return shape
     return np.frombuffer(data, dtype=np.uint8, count=w * h * channels, offset=pos).reshape(shape)
@@ -317,7 +317,7 @@ class Manifest(NamedTuple):
 def read_manifest(manifest_path: Path) -> Manifest:
     """Parse and check a manifest (a manifest file or its directory) without opening frames.
 
-    Every error is a CorruptManifest naming the file: a file errors.read_json
+    Every error is a LithovidError naming the file: a file errors.read_json
     rejects, missing or mistyped fields, a native_fps that is not a finite
     number, a video_id that is not a usable file name, a frame entry that
     is not an object with a string file (and string truth_mask /
@@ -333,7 +333,7 @@ def read_manifest(manifest_path: Path) -> Manifest:
         entries = manifest["frames"]
         # type(), not isinstance: JSON true is a bool, and a bool is an int
         if type(native_fps) not in (int, float) or not abs(native_fps) <= sys.float_info.max:
-            raise CorruptManifest(f"native_fps must be a finite JSON number, got {native_fps!r}")
+            raise LithovidError(f"native_fps must be a finite JSON number, got {native_fps!r}")
         # run names its outputs after video_id, so it must be one file name inside their directory
         try:
             usable = (isinstance(video_id, str) and video_id not in ("", ".", "..")
@@ -342,27 +342,27 @@ def read_manifest(manifest_path: Path) -> Manifest:
         except UnicodeEncodeError:  # a lone surrogate from a JSON escape
             usable = False
         if not usable:
-            raise CorruptManifest(f"video_id must be a file name of 1 to {MAX_VIDEO_ID_BYTES} "
-                                  f"bytes, got {video_id!r}")
+            raise LithovidError(f"video_id must be a file name of 1 to {MAX_VIDEO_ID_BYTES} "
+                                f"bytes, got {video_id!r}")
         if not isinstance(entries, list):
-            raise CorruptManifest("frames must be a list")
+            raise LithovidError("frames must be a list")
         masks, labels = [], set()
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
-                raise CorruptManifest(f"frame entry {i} is not an object with a string file")
+                raise LithovidError(f"frame entry {i} is not an object with a string file")
             mask, tag = entry.get("truth_mask"), entry.get("truth_label")
             if not all(v is None or isinstance(v, str) for v in (mask, tag)):
-                raise CorruptManifest(f"frame entry {i} has a truth_mask or truth_label "
-                                      "that is not a string")
+                raise LithovidError(f"frame entry {i} has a truth_mask or truth_label "
+                                    "that is not a string")
             masks.append(mask or None)
             if tag:
                 labels.add(MorphClass.from_tag(tag))
         if len(labels) > 1:
-            raise CorruptManifest("inconsistent truth labels across frames")
+            raise LithovidError("inconsistent truth labels across frames")
         return Manifest(path, video_id, float(native_fps), tuple(e["file"] for e in entries),
                         tuple(masks), labels.pop() if labels else None)
 
-    return read_json(path, CorruptManifest, "manifest", build)
+    return read_json(path, "manifest", build)
 
 
 def load_stream(manifest_path: Path) -> RawVideo:
@@ -436,7 +436,7 @@ def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequenc
     def frame(k: int) -> FrameGrid:
         img = np.asarray(video.frames[native[k]])
         if img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3:
-            raise ValidationError(f"frame {native[k]} must be HxWx3 uint8")
+            raise LithovidError(f"frame {native[k]} must be HxWx3 uint8")
         h, w = img.shape[:2]
         if h < MIN_FRAME_SIDE or w < MIN_FRAME_SIDE:
             raise LithovidError(f"frame {w}x{h} is below the {MIN_FRAME_SIDE} px minimum")

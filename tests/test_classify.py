@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -16,7 +17,7 @@ from lithovid.classify import (
     train_centroid,
 )
 from lithovid.core import CANONICAL_ORDER, FrameGrid, MorphClass, StoneMask
-from lithovid.errors import LithovidError, ValidationError
+from lithovid.errors import LithovidError
 from lithovid.phantom import adversarial_spec, make_still, render_frame, training_stills
 from lithovid.pipeline import FULL_FRAME_MASK
 
@@ -304,7 +305,7 @@ class TestCentroidModel:
 
     def test_sample_at_centroid_dominates(self):
         samples = [(f, m, c) for c in CANONICAL_ORDER for f, m in [make_still(c, 200 + c.rank)]]
-        model = CentroidModel(train_centroid(samples).centroids, beta=100.0)
+        model = train_centroid(samples)
         f, m = make_still(IA, 200)
         assert model.predict(f, m)[IA] > 0.99
 
@@ -324,32 +325,37 @@ class TestCentroidModel:
             hits += max(scores, key=lambda c: (scores[c], -c.rank)) is label
         assert hits / len(held) >= 0.95
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
-    def test_bad_beta_rejected(self, small_model, beta):
-        with pytest.raises(ValidationError, match="beta must be finite and non-negative"):
-            CentroidModel(centroids=small_model.centroids, beta=beta)
-
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_centroid_rejected(self, small_model, value):
         cents = dict(small_model.centroids)
         cents[IIB] = np.where(np.arange(528) == 7, value, cents[IIB])
-        with pytest.raises(ValidationError, match="centroid for IIb has non-finite values"):
+        with pytest.raises(LithovidError, match="centroid for IIb has non-finite values"):
             CentroidModel(centroids=cents)
 
-    @pytest.mark.parametrize("beta", ['"x"', "NaN", "Infinity", "[1]", '"50"', "true"])
+    @pytest.mark.parametrize("beta", ["50.0", '"x"', "NaN", "Infinity", "[1]", '"50"', "true"])
     def test_load_bad_beta_names_file(self, small_model, tmp_path, beta):
+        """A model file holds centroids only; a beta key, as in files written while the model
+        kept one, is rejected whatever its value, rather than run as classify.BETA."""
         path = tmp_path / "model.json"
         small_model.save(path)
-        text = path.read_text("utf-8").replace('"beta": 50.0', f'"beta": {beta}')
+        text = path.read_text("utf-8").replace('{"centroids"', f'{{"beta": {beta}, "centroids"')
         path.write_text(text, "utf-8")
-        with pytest.raises(LithovidError, match=f"^cannot load model from {re.escape(str(path))}"):
+        with pytest.raises(LithovidError, match=f"^cannot load model from {re.escape(str(path))}: "
+                                                "unknown field 'beta'$"):
+            CentroidModel.load(path)
+
+    def test_load_missing_centroids_names_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"beta": 50.0}', "utf-8")
+        with pytest.raises(LithovidError, match=f"^cannot load model from {re.escape(str(path))}: "
+                                                "missing field 'centroids'$"):
             CentroidModel.load(path)
 
     def test_save_load_round_trip(self, small_model, tmp_path):
         path = tmp_path / "model.json"
         small_model.save(path)
+        assert json.loads(path.read_text("utf-8")).keys() == {"centroids"}
         back = CentroidModel.load(path)
-        assert back.beta == small_model.beta
         for c in CANONICAL_ORDER:
             assert np.array_equal(back.centroids[c], small_model.centroids[c])
 

@@ -145,7 +145,7 @@ class TestModelOutput:
         from lithovid.segmentation import ChromaSegmenter
 
         def failing(self, path):
-            Path(path).write_text('{"beta": ', "utf-8")
+            Path(path).write_text('{"tau": ', "utf-8")
             raise OSError("disk full")
 
         for cls in (CentroidModel, ChromaSegmenter):
@@ -964,20 +964,45 @@ class TestInputBoundaries:
         assert "must be a JSON number" in err[0]
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("value", [None, True, 64.9, -5, 0, 10**9, 65537, "64"],
-                             ids=["missing", "true", "64.9", "-5", "0", "1e9", "65537", "string"])
+    @pytest.mark.parametrize("value", [64, True, 64.9, -5, 0, 10**9, 65537, "64"],
+                             ids=["64", "true", "64.9", "-5", "0", "1e9", "65537", "string"])
     def test_bad_min_component_px_is_data_error(self, workspace, tmp_path, capsys, value):
-        """A JSON integer from 1 to 65,536, the pixels of one frame; no default fills it in."""
+        """A calibration holds no min_component_px: one that does, as files written while the
+        segmenter kept one all did, is rejected whatever its value, rather than run as
+        segmentation.MIN_COMPONENT_PX."""
         cal = edit_json(workspace / "cal.json", tmp_path / "cal.json",
-                        lambda p: p.pop("min_component_px") if value is None
-                        else p.update(min_component_px=value))
+                        lambda p: p.update(min_component_px=value))
         code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
                      "--out", str(tmp_path / "o"), "--segmenter", "chroma",
                      "--calibration", str(cal), "--model", str(workspace / "model.json")])
         assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: cannot load calibration from {cal}: ")
-        assert "min_component_px" in err[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot load calibration from {cal}: unknown field 'min_component_px'"]
+        assert not (tmp_path / "o").exists()
+
+    def test_train_cls_and_calibrate_seg_write_exactly_the_key_sets(self, workspace):
+        assert json.loads((workspace / "model.json").read_text("utf-8")).keys() == {"centroids"}
+        assert json.loads((workspace / "cal.json").read_text("utf-8")).keys() == {
+            "background_mean", "background_cov", "tau"}
+
+    @pytest.mark.parametrize("name, change, detail", [
+        ("model.json", lambda p: p.update(beta=50.0), "unknown field 'beta'"),
+        ("model.json", lambda p: p.pop("centroids"), "missing field 'centroids'"),
+        ("cal.json", lambda p: p.update(extra=1, min_component_px=64),
+         "unknown field 'extra', 'min_component_px'"),
+        ("cal.json", lambda p: p.pop("background_cov"), "missing field 'background_cov'"),
+    ], ids=["model-beta", "model-no-centroids", "cal-two-unknown", "cal-no-cov"])
+    def test_model_and_calibration_hold_exactly_their_keys(self, workspace, tmp_path, capsys,
+                                                          name, change, detail):
+        files = {"model.json": workspace / "model.json", "cal.json": workspace / "cal.json"}
+        files[name] = edit_json(files[name], tmp_path / name, change)
+        what = "model" if name == "model.json" else "calibration"
+        code = main(["run", "--videos", str(one_video(workspace, tmp_path / "v")),
+                     "--out", str(tmp_path / "o"), "--segmenter", "chroma",
+                     "--calibration", str(files["cal.json"]), "--model", str(files["model.json"])])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot load {what} from {files[name]}: {detail}"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("content", [None, b"frame,Ia,IIb,IIIb,IaIIb,IaIIIb\n0,\xff\n"],
@@ -1127,7 +1152,7 @@ class TestUnreadableInputFiles:
         assert len(err) == 1 and err[0].startswith(f"error: config {config}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ['{"beta": 50.0, "centroids": []}', DEEP_JSON],
+    @pytest.mark.parametrize("text", ['{"centroids": []}', DEEP_JSON],
                              ids=["centroids-list", "nested"])
     def test_unreadable_model_is_data_error(self, workspace, tmp_path, capsys, text):
         model = tmp_path / "model.json"
@@ -1586,7 +1611,7 @@ class TestExitCodes:
         assert main(["run", "--out", "/tmp/x"]) == 1
 
     def test_train_cls_takes_no_beta(self, tmp_path, capsys):
-        """The model's beta is classify.DEFAULT_BETA."""
+        """The softmin's beta is classify.BETA, and a model file holds none."""
         out = tmp_path / "m.json"
         assert main(["train-cls", "--stills", "2", "--beta", "50", "--out", str(out)]) == 1
         assert "--beta" in capsys.readouterr().err

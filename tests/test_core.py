@@ -12,7 +12,7 @@ from lithovid.core import (
     VideoTimeline,
     argmax_scores,
 )
-from lithovid.errors import ValidationError
+from lithovid.errors import LithovidError
 
 
 def uniform_scores():
@@ -54,7 +54,7 @@ class TestMorphClass:
     def test_tag_round_trip(self):
         for c in MorphClass:
             assert MorphClass.from_tag(c.tag) is c
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^unknown morphology tag 'IVa'$"):
             MorphClass.from_tag("IVa")
 
     def test_display_names(self):
@@ -65,9 +65,9 @@ class TestMorphClass:
 
 class TestFrameGrid:
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^frame must be 256x256x3 uint8, got uint8 "):
             FrameGrid(np.zeros((128, 256, 3), dtype=np.uint8))
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^frame must be 256x256x3 uint8, got float32 "):
             FrameGrid(np.zeros((256, 256, 3), dtype=np.float32))
 
     def test_immutable(self):
@@ -87,7 +87,7 @@ class TestStoneMask:
         assert m.count == 128
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^mask values must be binary$"):
             StoneMask(np.full((4, 4), 3))
 
     def test_accepts_01_ints(self):
@@ -100,23 +100,23 @@ class TestQcVerdict:
         QcVerdict(QcTag.PASS, dsc=0.95)
         QcVerdict(QcTag.PASS)  # stability not evaluated (no-QC runs)
         QcVerdict(QcTag.REJECTED_INSTABILITY, dsc=0.5)
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="requires the evaluated dsc$"):
             QcVerdict(QcTag.REJECTED_INSTABILITY)
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="cannot carry a dsc value$"):
             QcVerdict(QcTag.REJECTED_COVERAGE, dsc=0.5)
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match=r"^dsc must be a number in \[0, 1\], got 1.5$"):
             QcVerdict(QcTag.PASS, dsc=1.5)
 
 
 class TestPredictionRecord:
     def test_pass_requires_scores_and_label(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^passing records require scores and a label$"):
             PredictionRecord(0, QcVerdict(QcTag.PASS, dsc=0.95))
 
     def test_score_sum_tolerance(self):
         bad = dict(uniform_scores())
         bad[MorphClass.IA] = 0.2 + 1e-6
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^scores sum to "):
             PredictionRecord.passing(0, bad)
         ok = dict(uniform_scores())
         ok[MorphClass.IA] = 0.2 + 1e-10
@@ -126,7 +126,7 @@ class TestPredictionRecord:
     def test_label_must_match_argmax(self):
         scores = {c: 0.1 for c in CANONICAL_ORDER}
         scores[MorphClass.IIIB] = 0.6
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^label must be the canonical argmax"):
             PredictionRecord(
                 0, QcVerdict(QcTag.PASS, dsc=0.95), scores=scores, label=MorphClass.IA
             )
@@ -143,17 +143,17 @@ class TestPredictionRecord:
         scores = {c: 0.1 for c in CANONICAL_ORDER}
         scores[MorphClass.IA] = 0.6  # the max slot; IaIIIb is a non-max slot
         scores[slot] = bad
-        with pytest.raises(ValidationError, match=f"non-finite score .* for {slot.tag}$"):
+        with pytest.raises(LithovidError, match=f"non-finite score .* for {slot.tag}$"):
             argmax_scores(scores)
-        with pytest.raises(ValidationError, match=f"for {slot.tag}$"):
+        with pytest.raises(LithovidError, match=f"for {slot.tag}$"):
             PredictionRecord.passing(0, scores)
 
     def test_empty_score_map_rejected(self):
-        with pytest.raises(ValidationError, match="empty score map"):
+        with pytest.raises(LithovidError, match="empty score map"):
             argmax_scores({})
 
     def test_rejected_cannot_carry_scores(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^rejected records cannot carry scores"):
             PredictionRecord(
                 0,
                 QcVerdict(QcTag.REJECTED_COVERAGE),
@@ -162,7 +162,7 @@ class TestPredictionRecord:
             )
 
     def test_scores_must_cover_all_classes(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^score map must cover exactly the five classes$"):
             PredictionRecord.passing(0, {MorphClass.IA: 1.0})
 
 
@@ -172,10 +172,10 @@ class TestVideoTimeline:
             PredictionRecord.rejected(0, QcVerdict(QcTag.REJECTED_NO_REFERENCE)),
             PredictionRecord.rejected(2, QcVerdict(QcTag.REJECTED_COVERAGE)),
         ]
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="position 1 holds index 2$"):
             VideoTimeline(video_id="v", records=tuple(recs))
         recs[1] = PredictionRecord.rejected(0, QcVerdict(QcTag.REJECTED_COVERAGE))
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="position 1 holds index 0$"):
             VideoTimeline(video_id="v", records=tuple(recs))
 
     def test_decision_iff_any_pass(self):
@@ -183,13 +183,13 @@ class TestVideoTimeline:
             PredictionRecord.rejected(0, QcVerdict(QcTag.REJECTED_NO_REFERENCE)),
         )
         VideoTimeline(video_id="v", records=rejected)  # no decision: fine
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^decision must be present iff at least one"):
             VideoTimeline(video_id="v", records=rejected, decision=MorphClass.IA)
         passing = (
             PredictionRecord.rejected(0, QcVerdict(QcTag.REJECTED_NO_REFERENCE)),
             PredictionRecord.passing(1, uniform_scores(), dsc=0.99),
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^decision must be present iff at least one"):
             VideoTimeline(video_id="v", records=passing)
 
     def test_pass_fraction(self):

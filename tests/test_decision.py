@@ -11,7 +11,7 @@ import pytest
 
 from lithovid.core import CANONICAL_ORDER, DecisionPath, MorphClass
 from lithovid.decision import LabelCensus, decide, decide_labels
-from lithovid.errors import LithovidError, ValidationError
+from lithovid.errors import LithovidError
 
 IA, IIB, IIIB, IAIIB, IAIIIB = CANONICAL_ORDER
 
@@ -78,11 +78,11 @@ class TestCensus:
     def test_empty_list_raises(self):
         with pytest.raises(LithovidError, match="^no labels to aggregate$"):
             LabelCensus.from_labels([])
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^census must count at least one label$"):
             LabelCensus(counts={})
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^negative count for Ia$"):
             LabelCensus(counts={IA: -1, IIB: 3})
 
     def test_from_labels_counts(self):

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from lithovid.core import (
     VideoTimeline,
 )
 from lithovid.decision import decide_labels
-from lithovid.errors import LithovidError, ValidationError
+from lithovid.errors import LithovidError
 from lithovid.evaluate import (
     ClassMetrics,
     METRIC_NAMES,
@@ -147,7 +149,7 @@ class TestOverallScores:
     def test_requires_all_classes(self):
         partial = self.metrics_with("f1", [1, 2, 3, 4, 5])
         del partial[IA]
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match="^overall scores require metrics for all five"):
             overall_scores(partial)
 
     def test_sample_std_divisor(self):
@@ -158,6 +160,22 @@ class TestOverallScores:
         assert round_half_up_percent(0.875) == 88
         assert round_half_up_percent(0.855) == 86
         assert round_half_up_percent(0.645) == 65  # halves go up, not to even
+
+    def test_exact_half_that_floats_put_below_goes_up(self):
+        """57.5: 1 of 5 videos found, 19 of 20 others not called that class; 23/40."""
+        assert round_half_up_percent((1 / 5 + 19 / 20) / 2) == 58
+        assert round_half_up_percent(23 / 40) == 58
+
+    def test_round_half_up_matches_exact_fractions(self):
+        """Every sensitivity a/p and balanced accuracy (a/p + b/q) / 2 on a small grid."""
+        half = Fraction(1, 2)
+        wrong = [(b, q) for q in range(1, 161) for b in range(q + 1)
+                 if round_half_up_percent(b / q) != math.floor(Fraction(100 * b, q) + half)]
+        wrong += [(a, p, b, q) for p in range(1, 13) for q in range(1, 49)
+                  for a in range(p + 1) for b in range(q + 1)
+                  if round_half_up_percent((a / p + b / q) / 2)
+                  != math.floor((Fraction(a, p) + Fraction(b, q)) * 50 + half)]
+        assert wrong == []
 
 
 class TestFramewise:
@@ -246,7 +264,7 @@ class TestTimelineJson:
     def test_nan_score_in_json_rejected(self, slot):
         payload = json.loads(timeline_to_json(timeline_with_labels("v", [IA, IA])))
         payload["records"][1]["scores"][slot] = float("nan")  # dumped as the literal NaN
-        with pytest.raises(ValidationError, match=f"non-finite score nan for {slot}$"):
+        with pytest.raises(LithovidError, match=f"non-finite score nan for {slot}$"):
             timeline_from_json(json.dumps(payload))
 
     def test_nan_from_classifier_stops_run_timeline(self, oracle_factory):
@@ -259,7 +277,7 @@ class TestTimelineJson:
 
         video, _, _ = generate_phantom(clean_spec(3, IA, 1.0))
         for variants in [(Variant.FULL,), (Variant.NO_QC,), tuple(Variant)]:
-            with pytest.raises(ValidationError, match="non-finite score nan for IIb$"):
+            with pytest.raises(LithovidError, match="non-finite score nan for IIb$"):
                 run_raw_video(video, oracle_factory, NanClassifier(), variants=variants)
 
     @pytest.mark.parametrize("labels, field, value", [
@@ -272,7 +290,7 @@ class TestTimelineJson:
     def test_decision_or_census_disagreeing_with_records_rejected(self, labels, field, value):
         payload = json.loads(timeline_to_json(timeline_with_labels("v", labels, rejected_extra=1)))
         payload[field] = value
-        with pytest.raises(ValidationError, match="decision"):
+        with pytest.raises(LithovidError, match="decision"):
             timeline_from_json(json.dumps(payload))
 
     def test_census_matches_labels(self):

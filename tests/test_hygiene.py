@@ -15,13 +15,6 @@ UNREAD_ALLOWED = {"bce_loss_grad", "dice_loss_grad", "combined_loss"}
 # parses JSON or CSV itself; timeline_from_json parses text, which is how perfbench calls it
 PARSE_CALLS = {("json", "load"), ("json", "loads"), ("csv", "reader")}
 PARSE_ALLOWED = {"timeline_from_json"}
-# keyword parameters that a test passes and no call in src/lithovid or perfbench names,
-# each with the reason it stays; the check fails on any other, and on a stale entry
-KEYWORD_ALLOWED = {
-    ("phantom.py", fn, "duration_s"): "cmd_phantom calls each profile builder through "
-                                      "PROFILE_BUILDERS, passing the duration by position"
-    for fn in ("clean_spec", "default_event_mix")
-}
 
 
 def imported_names(tree):
@@ -387,12 +380,12 @@ def keywords_only_tests_pass(modules, callers, tests):
 
 def test_every_keyword_parameter_has_a_caller_outside_tests():
     """A keyword parameter that only tests pass is surface to delete. The package and
-    perfbench's non-test files are callers; KEYWORD_ALLOWED lists the exceptions."""
+    perfbench's non-test files are callers."""
     modules = {p.name: p.read_text("utf-8") for p in MODULES}
     perfbench = [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
     callers = [p.read_text("utf-8") for p in [*PACKAGE.glob("*.py"), *perfbench]]
     tests = [p.read_text("utf-8") for p in (ROOT / "tests").glob("*.py")]
-    assert sorted(keywords_only_tests_pass(modules, callers, tests)) == sorted(KEYWORD_ALLOWED)
+    assert keywords_only_tests_pass(modules, callers, tests) == []
 
 
 def test_keyword_check_sees_parameters_only_tests_pass():

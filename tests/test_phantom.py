@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lithovid.core import CANONICAL_ORDER, MorphClass
-from lithovid.errors import LithovidError, ValidationError
+from lithovid.errors import LithovidError
 from lithovid.phantom import (
     EVENT_RATES,
     PROFILE_BUILDERS,
@@ -21,7 +21,7 @@ from lithovid.phantom import (
 )
 from lithovid.rng import stream
 
-from test_phantom_exact import reference_render_frame
+from test_phantom_exact import PROFILE_SECONDS, reference_render_frame
 
 IA = MorphClass.IA
 IAIIB = MorphClass.IA_IIB
@@ -33,11 +33,11 @@ def frames_equal(a, b):
 
 class TestSpecValidation:
     def test_event_interval_must_be_ordered(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match=r"^event interval \[2.0, 2.0\] is empty$"):
             EventScript(EventKind.JITTER, 2.0, 2.0)
 
     def test_intensity_bounds(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError, match=r"^intensity 1.5 outside \[0, 1\]$"):
             EventScript(EventKind.JITTER, 0.0, 1.0, intensity=1.5)
 
     def test_events_must_fit_duration(self):
@@ -94,7 +94,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("profile, label", list(SPEC_DIGESTS),
                              ids=[f"{p}-{c.tag}" for p, c in SPEC_DIGESTS])
     def test_to_json_bytes_are_pinned(self, profile, label):
-        text = PROFILE_BUILDERS[profile](99, label).to_json()
+        text = PROFILE_BUILDERS[profile](99, label, PROFILE_SECONDS[profile]).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == self.SPEC_DIGESTS[profile, label]
 
     @pytest.mark.parametrize("fields", [
@@ -107,7 +107,8 @@ class TestSpecValidation:
         {"base": (150.0, 60.0, 70.0, 80.0)},
     ])
     def test_palette_rejects_non_finite_values_and_bad_base(self, fields):
-        with pytest.raises(ValidationError):
+        with pytest.raises(LithovidError,
+                           match="^palette (values must be finite|base needs 3 channels), got "):
             Palette(**fields)
 
 
@@ -242,13 +243,13 @@ class TestEventSemantics:
 
 class TestDefaultEventMix:
     def test_deterministic_in_seed(self):
-        assert default_event_mix(7, IA) == default_event_mix(7, IA)
+        assert default_event_mix(7, IA, 12.0) == default_event_mix(7, IA, 12.0)
 
     def test_event_rates_over_many_seeds(self):
         n = 10_000
         frag = stone_free = 0
         for seed in range(n):
-            spec = default_event_mix(seed, IA)
+            spec = default_event_mix(seed, IA, 12.0)
             kinds = {e.kind for e in spec.events}
             frag += EventKind.FRAGMENTATION in kinds
             stone_free += EventKind.STONE_FREE in kinds
@@ -258,7 +259,7 @@ class TestDefaultEventMix:
     def test_specs_are_valid_for_all_labels(self):
         for label in CANONICAL_ORDER:
             for seed in range(200):
-                default_event_mix(seed, label)  # must not raise
+                default_event_mix(seed, label, 12.0)  # must not raise
 
 
 class TestCounterBasedStreams:

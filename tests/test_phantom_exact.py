@@ -41,6 +41,9 @@ from lithovid.phantom import (
 )
 from lithovid.rng import stream
 
+# the durations at which the pinned spec digests and the render checks were made
+PROFILE_SECONDS = {"clean": 10.0, "default": 12.0, "adversarial": 14.0}
+
 _XS = np.arange(SIDE, dtype=np.float32)
 _YS = np.arange(SIDE, dtype=np.float32)
 _GY, _GX = np.mgrid[0:SIDE, 0:SIDE].astype(np.float32)
@@ -265,7 +268,7 @@ class TestRenderExact:
     @pytest.mark.parametrize("label", CANONICAL_ORDER, ids=lambda c: c.tag)
     def test_profiles_and_labels(self, profile, label):
         for seed in (3, 3101):
-            spec = PROFILE_BUILDERS[profile](seed, label)
+            spec = PROFILE_BUILDERS[profile](seed, label, PROFILE_SECONDS[profile])
             assert_same_render(spec, range(seed % 3, spec.n_frames, 3))
 
     @pytest.mark.parametrize("kind", list(EventKind), ids=lambda k: k.value)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lithovid.core import MorphClass, QcTag, StoneMask
-from lithovid.errors import LithovidError, ValidationError
+from lithovid.errors import LithovidError
 from lithovid.phantom import EventKind, EventScript, PhantomSpec, generate_phantom
 from lithovid.qc import QcConfig, check_frame
 
@@ -15,11 +15,11 @@ def mask_with_count(side, count):
 
 def test_config_validation():
     QcConfig()
-    with pytest.raises(ValidationError):
+    with pytest.raises(LithovidError, match=r"^min_coverage 0.0 outside \(0, 1\)$"):
         QcConfig(min_coverage=0.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(LithovidError, match=r"^min_dsc 1.5 outside \(0, 1\)$"):
         QcConfig(min_dsc=1.5)
-    with pytest.raises(ValidationError, match=r"^min_dsc 1.0 outside \(0, 1\)$"):
+    with pytest.raises(LithovidError, match=r"^min_dsc 1.0 outside \(0, 1\)$"):
         QcConfig(min_dsc=1.0)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import pickle
 
@@ -316,6 +317,8 @@ class TestChromaSegmenter:
     def test_save_load_round_trip(self, chroma, tmp_path):
         path = tmp_path / "cal.json"
         chroma.save(path)
+        saved = json.loads(path.read_text("utf-8"))
+        assert saved.keys() == {"background_mean", "background_cov", "tau"}
         back = ChromaSegmenter.load(path)
         assert back.tau == chroma.tau
         assert np.allclose(back.background_mean, chroma.background_mean)
@@ -325,6 +328,24 @@ class TestChromaSegmenter:
         path = tmp_path / "bad.json"
         path.write_text("{}", "utf-8")
         with pytest.raises(LithovidError, match="^cannot load calibration from .*: missing field "):
+            ChromaSegmenter.load(path)
+
+    @pytest.mark.parametrize("key, value", [("min_component_px", 64), ("tau", None)],
+                             ids=["min_component_px", "tau-missing"])
+    def test_load_checks_the_key_set(self, chroma, tmp_path, key, value):
+        """A calibration holds its three keys and no other: min_component_px, as in files
+        written while the segmenter kept one, is rejected rather than run as
+        segmentation.MIN_COMPONENT_PX; a missing key is named as before."""
+        path = tmp_path / "cal.json"
+        chroma.save(path)
+        payload = json.loads(path.read_text("utf-8"))
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        path.write_text(json.dumps(payload), "utf-8")
+        detail = f"missing field '{key}'" if value is None else f"unknown field '{key}'"
+        with pytest.raises(LithovidError, match=f"^cannot load calibration from .*: {detail}$"):
             ChromaSegmenter.load(path)
 
     @pytest.mark.parametrize("field, value", [
@@ -457,7 +478,8 @@ class TestBlueBoundsExact:
         rng = np.random.Generator(np.random.Philox(key=[5, 7]))
         frame = FrameGrid(rng.integers(0, 256, (256, 256, 3), np.uint8))
         raw = seg.distances_sq(frame.pixels) > seg.tau**2
-        assert np.array_equal(seg.segment(frame).bits, clean_mask(raw, seg.min_component_px))
+        cleaned = clean_mask(raw, segmentation.MIN_COMPONENT_PX)
+        assert np.array_equal(seg.segment(frame).bits, cleaned)
 
     def test_table_stays_out_of_the_pickle(self, chroma):
         seg = ChromaSegmenter(background_mean=chroma.background_mean,
