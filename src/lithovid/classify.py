@@ -42,10 +42,24 @@ def _check_shapes(frame: FrameGrid, mask: StoneMask) -> None:
         )
 
 
+_SCRATCH = [np.empty(0)] * 5  # features' float64 scratch, one flat buffer per role
+
+
+def _scratch(slot: int, shape: tuple[int, ...]) -> np.ndarray:  # contiguous, grown if need be
+    size = math.prod(shape)
+    if _SCRATCH[slot].size < size:
+        _SCRATCH[slot] = np.empty(size)
+    return _SCRATCH[slot][:size].reshape(shape)
+
+
 def _gradient_bins(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """min(floor(hypot(gx, gy) / GRAD_BIN_WIDTH), GRAD_BINS - 1) as uint8; see features."""
-    q = np.sqrt(gx * gx + gy * gy) / GRAD_BIN_WIDTH
-    off = np.rint(q)
+    q, off = _scratch(3, gx.shape), _scratch(4, gx.shape)
+    np.multiply(gx, gx, out=q)
+    q += np.multiply(gy, gy, out=off)
+    np.sqrt(q, out=q)
+    q /= GRAD_BIN_WIDTH
+    np.rint(q, out=off)
     off -= q
     near = (np.abs(off, out=off) < 1e-6) & (q > 0.5)  # q >= 0 never straddles edge 0
     q[near] = np.hypot(gx[near], gy[near]) / GRAD_BIN_WIDTH
@@ -64,6 +78,8 @@ def features(frame: FrameGrid, mask: StoneMask) -> np.ndarray:
     true value and q < 37 (|g| <= 255 * sqrt(2)), so they differ by under
     1e-13 and can floor differently only that close to a bin edge; where
     q is within 1e-6 of one, hypot is recomputed.
+    Luma, gradients and bins are written into scratch buffers that every
+    call reuses. They are per process, so features is not for concurrent threads.
     """
     if mask.empty:
         raise LithovidError("cannot featurize an empty mask")
@@ -84,11 +100,17 @@ def features(frame: FrameGrid, mask: StoneMask) -> np.ndarray:
         idx |= channel >> 5
     color_hist = np.bincount(idx[keep].ravel(), minlength=RGB_BINS**3)
 
-    luma = 0.299 * r  # 0.299 * r + 0.587 * g + 0.114 * b, in that order
-    luma += 0.587 * g
-    luma += 0.114 * b
+    luma, gy, gx = (_scratch(slot, bits.shape) for slot in range(3))
+    np.multiply(r, 0.299, out=luma)  # 0.299 * r + 0.587 * g + 0.114 * b, in that order
+    luma += np.multiply(g, 0.587, out=gy)
+    luma += np.multiply(b, 0.114, out=gy)
     luma[~bits] = 0.0  # the luma of a zeroed pixel
-    gy, gx = np.gradient(luma)
+    # np.gradient down the rows, then along them: halved central differences, one-sided at ends
+    for f, d in ((luma, gy), (luma.T, gx.T)):
+        np.subtract(f[2:], f[:-2], out=d[1:-1])
+        d[1:-1] /= 2.0
+        np.subtract(f[1], f[0], out=d[0])
+        np.subtract(f[-1], f[-2], out=d[-1])
     grad_hist = np.bincount(_gradient_bins(gx, gy)[keep].ravel(), minlength=GRAD_BINS)
 
     vec = np.concatenate([color_hist, grad_hist]).astype(np.float64)

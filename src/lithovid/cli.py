@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy import ndimage
 
 from . import evaluate, phantom
 from .classify import (
@@ -139,8 +138,11 @@ def _burn_text(img: np.ndarray, text: str) -> None:
 def render_overlay(frame: FrameGrid, mask: Optional[StoneMask], label_text: str) -> np.ndarray:
     out = frame.pixels.copy()
     if mask is not None and not mask.empty:
-        outline = mask.bits & ~ndimage.binary_erosion(mask.bits)
-        out[outline] = (0, 255, 0)
+        bits = mask.bits
+        inner = np.zeros_like(bits)  # a stone pixel whose four neighbours are stone
+        inner[1:-1, 1:-1] = (bits[1:-1, 1:-1] & bits[:-2, 1:-1] & bits[2:, 1:-1]
+                             & bits[1:-1, :-2] & bits[1:-1, 2:])
+        out[bits & ~inner] = (0, 255, 0)
     _burn_text(out, label_text)
     return out
 
@@ -313,6 +315,8 @@ def cmd_run(args) -> int:
             raise LithovidError(f"{key} path not found: {value}")
     workers = _workers()
     video_dirs = list_video_dirs(videos_root)
+    for skipped in sorted(p for p in videos_root.iterdir() if p.is_dir() and p not in video_dirs):
+        print(f"warning: skipped {skipped}: no {MANIFEST_NAME}", file=sys.stderr)
     if not video_dirs:
         raise LithovidError(f"no videos (no {MANIFEST_NAME}) under {videos_root}")
     readable = []  # timelines are named after video_id, so no two videos may share one

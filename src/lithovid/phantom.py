@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from enum import Enum
 from typing import Optional
 
@@ -29,7 +29,7 @@ import numpy as np
 from .core import CANONICAL_ORDER, FRAME_SIDE, STREAM_FPS, FrameGrid, MorphClass, StoneMask
 from .errors import LithovidError
 from .rng import stream
-from .video_io import RawVideo
+from .video_io import LazySequence, RawVideo, read_ahead
 
 SIDE = FRAME_SIDE
 JITTER_FULL_PX = 24.0  # translation amplitude at intensity 1.0
@@ -276,25 +276,32 @@ def _background_phase(seed: int) -> tuple[np.float64, ...]:
     return tuple(stream(seed, "background").uniform(0, 2 * math.pi, size=4))
 
 
-def _background(spec: PhantomSpec, index: int, shift: tuple[float, float]) -> np.ndarray:
+def _noise(spec: PhantomSpec, index: int) -> np.ndarray:
+    """Frame index's float32 background noise, relative to the background's mean colour."""
+    noise = stream(spec.seed, "bg-noise", frame=index).normal(0.0, 2.5, size=(SIDE, SIDE))
+    return noise.astype(np.float32) / np.float32(np.mean(spec.background.base))
+
+
+# each frame's shading and float image: render_frame is not for concurrent threads
+_SHADING, _IMG = np.empty((SIDE, SIDE)), np.empty((SIDE, SIDE, 3), dtype=np.float32)
+
+
+def _background(spec: PhantomSpec, index: int, shift: tuple[float, float],
+                noise: np.ndarray) -> np.ndarray:
+    """The background image, in _IMG; the float32 shading is summed into noise."""
     pal = spec.background
     phase = _background_phase(spec.seed)
     t = index / STREAM_FPS
     col = np.sin(2 * math.pi * (_AXIS - shift[0]) / 97.0 + phase[0])
     row = np.sin(2 * math.pi * (_AXIS - shift[1]) / 83.0 + phase[1] + 0.25 * math.sin(
         2 * math.pi * t / 11.0 + phase[2]))
-    shading = np.outer(row, col)
+    shading = np.outer(row, col, out=_SHADING)
     shading *= pal.ripple
     shading += 1.0
-    shading = shading.astype(np.float32)
-    noise = stream(spec.seed, "bg-noise", frame=index).normal(0.0, 2.5, size=(SIDE, SIDE))
-    noise = noise.astype(np.float32)
-    noise /= np.float32(np.mean(pal.base))
-    shading += noise
-    img = np.empty((SIDE, SIDE, 3), dtype=np.float32)
+    np.add(shading, noise, out=noise, dtype=np.float32)  # float32(shading) + noise
     for c in range(3):
-        np.multiply(shading, np.float32(pal.base[c]), out=img[..., c])
-    return img
+        np.multiply(noise, np.float32(pal.base[c]), out=_IMG[..., c])
+    return _IMG
 
 
 def _paint_stone(img: np.ndarray, spec: PhantomSpec, index: int, center: tuple[float, float],
@@ -500,15 +507,17 @@ def _apply_glare(img: np.ndarray, spec: PhantomSpec, index: int, ev: EventScript
             img[..., c] += halo
 
 
-def render_frame(spec: PhantomSpec, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Render frame `index`; returns (256x256x3 uint8, truth bits)."""
+def render_frame(spec: PhantomSpec, index: int,
+                 noise: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Render frame `index`; returns (256x256x3 uint8, truth bits). noise, if given, is
+    _noise(spec, index) drawn ahead, and render_frame writes into it."""
     geom = _geometry_for_seed(spec.seed)
     t = index / STREAM_FPS
 
     jitter_ev = spec.active(EventKind.JITTER, t)
     shift = _jitter_offset(spec, index, jitter_ev) if jitter_ev else (0.0, 0.0)
 
-    img = _background(spec, index, shift)
+    img = _background(spec, index, shift, _noise(spec, index) if noise is None else noise)
 
     if spec.active(EventKind.STONE_FREE, t) is not None:
         stone_bits = np.zeros((SIDE, SIDE), dtype=bool)
@@ -550,22 +559,28 @@ def render_frame(spec: PhantomSpec, index: int) -> tuple[np.ndarray, np.ndarray]
     return img.astype(np.uint8), truth
 
 
-def generate_phantom(spec: PhantomSpec) -> tuple[RawVideo, tuple[StoneMask, ...], MorphClass]:
-    """Render the whole video with per-frame truth masks and its label."""
-    frames = []
-    truths = []
-    for i in range(spec.n_frames):
-        frame, truth = render_frame(spec, i)
-        frames.append(frame)
-        truths.append(truth)
-    video = RawVideo(
-        video_id=f"phantom-{spec.label.tag}-{spec.seed & 0xFFFFFFFF:08x}",
-        native_fps=STREAM_FPS,
-        frames=tuple(frames),
-        truth_masks=tuple(truths),
-        truth_label=spec.label,
-    )
-    return video, tuple(StoneMask(t) for t in truths), spec.label
+def generate_phantom(spec: PhantomSpec) -> tuple[RawVideo, LazySequence, MorphClass]:
+    """The video, its truth masks and its label. Frames and masks are lazy sequences over
+    render_frame(spec, k), called on the reader's thread; the last frame rendered is kept, so
+    frame k and its mask cost one render. Iterating the frames draws the next two frames'
+    noise on read_ahead's helper."""
+    n = spec.n_frames
+    last: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def render(k: int, noise: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+        if k not in last:
+            last.clear()
+            last[k] = render_frame(spec, k, noise)
+        return last[k]
+
+    def iterate():
+        for k, noise in enumerate(read_ahead(partial(_noise, spec), range(n))):
+            yield render(k, noise)[0]
+
+    video = RawVideo(video_id=f"phantom-{spec.label.tag}-{spec.seed & 0xFFFFFFFF:08x}",
+                     native_fps=STREAM_FPS, frames=LazySequence(n, lambda k: render(k)[0], iterate),
+                     truth_masks=LazySequence(n, lambda k: render(k)[1]), truth_label=spec.label)
+    return video, LazySequence(n, lambda k: StoneMask(render(k)[1])), spec.label
 
 
 # -- spec builders -------------------------------------------------------------

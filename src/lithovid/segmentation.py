@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Protocol, Sequence, Union
 
 import numpy as np
-from scipy import ndimage
 
 from .core import FrameGrid, StoneMask
 from .errors import LithovidError, json_fields, json_number, read_json
@@ -111,7 +110,7 @@ def combined_loss(p: ProbLike, t: MaskLike, smooth: float = 1.0) -> float:
 
 # -- mask cleanup -------------------------------------------------------------
 
-_FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
+_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 MIN_COMPONENT_PX = 64  # ChromaSegmenter.segment drops smaller candidate components
 
 
@@ -121,6 +120,8 @@ def clean_mask(bits: np.ndarray, min_component_px: int) -> np.ndarray:
     Labels only the candidates' bounding box, padded with a background ring that
     stands for the outside of the box: holes are background not 4-connected to it.
     """
+    from scipy import ndimage  # only a command that cleans a chroma mask loads scipy
+
     out = np.zeros_like(bits, dtype=bool)
     rows = np.flatnonzero(bits.any(axis=1))
     if rows.size == 0:

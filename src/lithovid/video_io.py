@@ -15,8 +15,9 @@ import operator
 import os
 import sys
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -65,7 +66,8 @@ class RawVideo:
     """An ordered frame sequence at its native rate, before standardization.
 
     frames is a tuple of arrays, checked here, or a LazySequence whose
-    maker checks them (load_stream's decodes a frame when it is accessed).
+    maker checks them (load_stream's decodes a frame when it is accessed,
+    generate_phantom's renders it).
     truth_masks / truth_label carry per-frame ground truth when the
     video comes from the phantom generator or an annotated container.
     """
@@ -415,6 +417,20 @@ def list_video_dirs(root: Path) -> list[Path]:
     return sorted(p for p in Path(root).iterdir() if (p / MANIFEST_NAME).is_file())
 
 
+def read_ahead(make: Callable[[int], object], indices: Iterable[int]) -> Iterator:
+    """make(k) for each k of indices, in order, made on one helper thread up to two items
+    past the one the caller holds. make's error is raised when the caller reaches that item.
+    The helper is joined when the iteration ends, is closed or raises: no fork pool
+    inherits a live thread."""
+    with ThreadPoolExecutor(1, thread_name_prefix="lithovid-read-ahead") as pool:
+        todo = iter(indices)
+        ahead = deque(pool.submit(make, k) for k in islice(todo, 2))
+        while ahead:  # at most two items asked for past the one the caller holds
+            made = ahead.popleft()
+            ahead.extend(pool.submit(make, k) for k in islice(todo, 1))
+            yield made.result()
+
+
 def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequence]]:
     """The 8 Hz stream of a video: its frames (and truth masks) normalized to 256x256.
 
@@ -423,18 +439,19 @@ def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequenc
     keeping nothing. One resize plan, built by the first frame that needs
     it, serves the whole video: every frame gets a fresh array, but the
     plan's scratch is shared, so frames are made by one thread at a time.
-    Iterating the frames makes frame 0 on the caller's thread. If its square
-    crop is larger than 256x256 (an HD video), the next two frames, in stream
-    order, are then made on one helper thread while the caller works on the
-    current one; the helper is joined when the iteration ends, is closed or
-    raises. A frame's error is raised when the caller reaches that frame, and
-    native frames are still decoded one at a time.
+    Iterating the frames iterates the native frames when the stream takes
+    each of them once (a phantom then draws its noise ahead), else reads
+    them by index. Frame 0 is made on the caller's thread. If its square
+    crop is larger than 256x256 (an HD video), the next frames are read and
+    normalized by read_ahead, else on the caller's thread. A frame's error
+    is raised when the caller reaches that frame, and native frames are
+    still decoded one at a time.
     """
     native = stream_indices(video)
     plans: dict[tuple[int, ...], Callable[[np.ndarray], np.ndarray]] = {}  # by crop shape
 
-    def frame(k: int) -> FrameGrid:
-        img = np.asarray(video.frames[native[k]])
+    def grid(img: np.ndarray, k: int) -> FrameGrid:
+        img = np.asarray(img)
         if img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3:
             raise LithovidError(f"frame {native[k]} must be HxWx3 uint8")
         h, w = img.shape[:2]
@@ -449,18 +466,18 @@ def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequenc
         m = video.truth_masks[native[k]]
         return None if m is None else normalize_mask(m)
 
-    def stream() -> Iterator[FrameGrid]:
-        yield frame(0)
-        if next(iter(plans))[0] <= FRAME_SIDE:  # frame 0's crop side: not HD, so made inline
-            yield from map(frame, range(1, len(native)))
-            return
-        with ThreadPoolExecutor(1, thread_name_prefix="lithovid-read-ahead") as pool:
-            todo = iter(range(1, len(native)))
-            ahead = deque(pool.submit(frame, k) for k in islice(todo, 2))
-            while ahead:  # at most two frames asked for past the one the caller holds
-                made = ahead.popleft()
-                ahead.extend(pool.submit(frame, k) for k in islice(todo, 1))
-                yield made.result()
+    def natives() -> Iterator[np.ndarray]:
+        identity = native == list(range(len(video.frames)))
+        yield from video.frames if identity else map(video.frames.__getitem__, native)
 
-    frames = LazySequence(len(native), frame, stream)
+    def stream() -> Iterator[FrameGrid]:
+        with closing(natives()) as imgs:  # closing the stream closes a phantom's read-ahead
+            yield grid(next(imgs), 0)
+            rest = range(1, len(native))
+            if next(iter(plans))[0] <= FRAME_SIDE:  # frame 0's crop side: not HD, so inline
+                yield from map(grid, imgs, rest)
+            else:
+                yield from read_ahead(lambda k: grid(next(imgs), k), rest)
+
+    frames = LazySequence(len(native), lambda k: grid(video.frames[native[k]], k), stream)
     return frames, None if video.truth_masks is None else LazySequence(len(native), mask)

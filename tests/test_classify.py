@@ -245,6 +245,26 @@ class TestFeaturesExact:
         assert np.array_equal(features(frame, mask), reference_features(frame, mask))
 
 
+    def test_scratch_shape_does_not_leak_between_calls(self):
+        """features reuses its scratch; each call's result is that of the call alone,
+        whatever shape the call before it used."""
+        boxes = [
+            np.s_[:, :],              # whole frame
+            np.s_[254:, 30:220],      # two rows on the bottom edge
+            np.s_[:9, 243:],          # top right corner
+            np.s_[20:240, 10:250],    # large box
+            np.s_[:, :],              # whole frame again
+            np.s_[100:102, :],        # two rows across the frame
+        ]
+        for seed in (3, 4):
+            frame = rand_frame(seed)
+            for box in boxes:
+                bits = np.zeros((256, 256), dtype=bool)
+                bits[box] = True
+                mask = StoneMask(bits)
+                assert np.array_equal(features(frame, mask), reference_features(frame, mask))
+
+
 class TestSoftmin:
     def test_beta_zero_uniform(self):
         scores = softmin_scores({c: float(c.rank) for c in CANONICAL_ORDER}, beta=0.0)

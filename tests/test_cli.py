@@ -338,6 +338,53 @@ class TestRunCommand:
             frames_seen += len(frames)
         assert len(calls) == frames_seen
 
+    def test_overlay_outline_equals_binary_erosion(self):
+        """The outline is the stone less its 4-connected erosion, with the frame's outside
+        as background, on stones that touch each edge and corner of the frame."""
+        from scipy import ndimage
+
+        from lithovid.cli import render_overlay
+        from lithovid.core import FrameGrid, StoneMask
+
+        frame = FrameGrid(np.zeros((256, 256, 3), dtype=np.uint8))
+        boxes = [np.s_[:40, 60:200], np.s_[-40:, 60:200], np.s_[60:200, :40],
+                 np.s_[60:200, -40:], np.s_[:30, :30], np.s_[-30:, -30:], np.s_[:, :],
+                 np.s_[:1, :], np.s_[:, -2:], np.s_[100:101, 100:101]]
+        rng = np.random.Generator(np.random.Philox(key=[14, 2]))
+        masks = []
+        for box in boxes:
+            bits = np.zeros((256, 256), dtype=bool)
+            bits[box] = True
+            masks += [bits, bits & (rng.random((256, 256)) < 0.8)]
+        for bits in masks:
+            out = render_overlay(frame, StoneMask(bits), "")
+            expected = bits & ~ndimage.binary_erosion(bits)
+            assert np.array_equal((out == (0, 255, 0)).all(axis=2), expected)
+
+    def test_subdirectory_without_manifest_is_named_and_skipped(self, workspace, tmp_path,
+                                                                capsys):
+        """A video directory without manifest.json is not run; run says so on stderr and
+        writes the other videos' timelines as before."""
+        import shutil
+
+        videos, out = tmp_path / "videos", tmp_path / "out"
+        shutil.copytree(workspace / "cohort", videos)
+        (videos / "IIb-clean-000" / "manifest.json").unlink()
+        (videos / "notes.txt").write_text("not a video\n", "utf-8")
+        capsys.readouterr()
+        assert main(["run", "--videos", str(videos), "--out", str(out),
+                     "--segmenter", "oracle", "--classifier", "centroid",
+                     "--model", str(workspace / "model.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: skipped {videos / 'IIb-clean-000'}: no manifest.json"]
+        assert captured.out == f"wrote 4 timelines to {out}\n"
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(f"{c.tag}-clean-000.json" for c in CANONICAL_ORDER
+                                 if c is not MorphClass.IIB)
+        for name in written:
+            assert (out / name).read_bytes() == (workspace / "timelines" / name).read_bytes()
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_one_bad_video_spares_the_rest(self, workspace, tmp_path, capsys, monkeypatch,
                                            workers):

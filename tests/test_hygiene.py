@@ -327,6 +327,51 @@ def test_thread_check_sees_imports():
     assert thread_sites(source) == [1, 3, 4, 5, 6]
 
 
+def scipy_imports(source):
+    """(enclosing function or None, line) of each statement that imports scipy."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                sites.append((function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_scipy_is_imported_only_to_clean_a_mask():
+    """Only chroma's mask cleanup needs scipy, so only clean_mask imports it and no other
+    command pays for loading it."""
+    functions = {p.name: [f for f, _ in scipy_imports(p.read_text("utf-8"))] for p in MODULES}
+    assert {name: found for name, found in functions.items() if found} == {
+        "segmentation.py": ["clean_mask"]}
+
+
+def test_scipy_check_sees_imports():
+    source = (
+        "import scipy\n"
+        "from scipy import ndimage\n"
+        "def f():\n"
+        "    import scipy.ndimage as nd\n"
+        "    def g():\n"
+        "        from scipy.ndimage import label\n"
+        "import numpy\n"
+        "from . import scipy_like\n"
+    )
+    assert scipy_imports(source) == [(None, 1), (None, 2), ("f", 4), ("g", 6)]
+
+
 def keyword_params(tree):
     """(function, parameter, position) of each parameter with a default of each public
     top-level function and each public method of a public class. position counts the

@@ -156,7 +156,7 @@ class TestEventSemantics:
         )
         _, masks, _ = generate_phantom(spec)
         before = masks[7].count  # last intact frame (split at t=1.0, frame 8)
-        after = max(m.count for m in masks[8:])
+        after = max(masks[k].count for k in range(8, len(masks)))
         assert after <= before * 1.02
 
     def test_mixed_palettes_shell_before_both_after(self):
@@ -292,3 +292,103 @@ class TestCounterBasedStreams:
             rng = stream(7, "grain", frame=3)
             rng.bit_generator.advance(y0 * 64 - 1)
             assert rng.uniform(-1.0, 1.0, size=256).tobytes() != full[y0].tobytes()
+
+
+class TestLazyStream:
+    """A phantom is rendered as it is read: one render per frame per pass, the bytes of an
+    eager render loop, and no read-ahead helper left running however the reading ends."""
+
+    @staticmethod
+    def count_renders(monkeypatch):
+        from lithovid import phantom
+
+        calls = []
+
+        def counting(spec, index, *rest):
+            calls.append(index)
+            return render_frame(spec, index, *rest)
+
+        monkeypatch.setattr(phantom, "render_frame", counting)
+        return calls
+
+    def test_ablation_renders_each_frame_once(self, monkeypatch, small_model, oracle_factory):
+        from lithovid.evaluate import run_ablation
+
+        specs = [adversarial_spec(50 + c.rank, c, 3.0) for c in CANONICAL_ORDER]
+        calls = self.count_renders(monkeypatch)
+        result = run_ablation(((generate_phantom(s)[0], s.label) for s in specs),
+                              oracle_factory, small_model)
+        assert len(result) == 3
+        assert calls == [k for s in specs for k in range(s.n_frames)]
+
+    def test_phantom_command_renders_each_frame_once(self, monkeypatch, tmp_path):
+        from lithovid.cli import main
+
+        calls = self.count_renders(monkeypatch)
+        assert main(["phantom", "--out", str(tmp_path), "--per-class", "1", "--seed", "4",
+                     "--duration", "1.5", "--profile", "adversarial"]) == 0
+        assert calls == list(range(12)) * len(CANONICAL_ORDER)
+
+    @pytest.mark.parametrize("profile", ["clean", "default", "adversarial"])
+    def test_equals_an_eager_render_loop(self, profile):
+        spec = PROFILE_BUILDERS[profile](31, IAIIB, 4.0)
+        eager = [render_frame(spec, k) for k in range(spec.n_frames)]
+        video, masks, label = generate_phantom(spec)
+        assert label is IAIIB and len(video.frames) == len(masks) == len(eager)
+        for k, (frame, mask, (pixels, truth)) in enumerate(zip(video.frames, masks, eager)):
+            assert frame.tobytes() == pixels.tobytes()
+            assert mask.bits.tobytes() == video.truth_masks[k].tobytes() == truth.tobytes()
+        for k in (0, spec.n_frames // 2, spec.n_frames - 1):  # read by index, out of order
+            assert video.frames[k].tobytes() == eager[k][0].tobytes()
+
+    def test_helper_is_joined_when_exhausted_or_closed(self):
+        import threading
+
+        from lithovid.video_io import normalize_video
+
+        before = threading.active_count()
+        video, _, _ = generate_phantom(adversarial_spec(8, IA, 2.0))
+        assert len(list(video.frames)) == 16
+        assert threading.active_count() == before
+        for frames in (video.frames, normalize_video(video)[0]):
+            it = iter(frames)
+            next(it)
+            assert threading.active_count() == before + 1  # drawing frames 1 and 2 ahead
+            it.close()
+            assert threading.active_count() == before
+
+    def test_helper_is_joined_when_reading_raises(self, monkeypatch, small_model,
+                                                  oracle_factory):
+        import threading
+
+        from lithovid.pipeline import run_raw_video
+
+        def failing(spec, index, *rest):
+            if index == 5:
+                raise LithovidError("render failed")
+            return render_frame(spec, index, *rest)
+
+        before = threading.active_count()
+        video, _, _ = generate_phantom(adversarial_spec(8, IA, 2.0))
+        with monkeypatch.context() as patch:
+            from lithovid import phantom
+
+            patch.setattr(phantom, "render_frame", failing)
+            with pytest.raises(LithovidError, match="^render failed$"):
+                list(video.frames)
+            assert threading.active_count() == before
+            with pytest.raises(LithovidError, match="^render failed$"):
+                run_raw_video(video, oracle_factory, small_model)
+            assert threading.active_count() == before
+
+        def failing_segmenter(frames, truths):
+            class Failing:
+                def segment(self, frame):
+                    if frame.stream_index == 3:
+                        raise LithovidError("segmenter failed")
+                    return truths[frame.stream_index]
+            return Failing()
+
+        with pytest.raises(LithovidError, match="^segmenter failed$"):
+            run_raw_video(video, failing_segmenter, small_model)
+        assert threading.active_count() == before

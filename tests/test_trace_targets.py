@@ -63,7 +63,8 @@ def test_traced_run_records_every_layer_of_the_run_path(tmp_path, monkeypatch):
 
 
 def test_traced_phantom_records_one_render_per_frame():
-    """phantom.render_frame stays the module-level function generate_phantom calls per frame."""
+    """phantom.render_frame stays the module-level function a phantom calls once per frame,
+    when the frames and masks are read rather than when generate_phantom returns."""
     from lithovid import phantom
     from lithovid.core import MorphClass
 
@@ -71,11 +72,13 @@ def test_traced_phantom_records_one_render_per_frame():
     tracer = load_spans().Tracer()
     tracer.install()
     try:
-        video, _, _ = phantom.generate_phantom(spec)
+        video, masks, _ = phantom.generate_phantom(spec)
+        at_return = [span[0] for span in tracer.spans]
+        for _ in zip(video.frames, masks):
+            pass
     finally:
         tracer.uninstall()
+    assert at_return == ["phantom.generate_phantom"]
     names = [span[0] for span in tracer.spans]
     assert names.count("phantom.generate_phantom") == 1
     assert names.count("phantom.render_frame") == spec.n_frames == len(video.frames)
-    renders = [span for span in tracer.spans if span[0] == "phantom.render_frame"]
-    assert all(tracer.spans[span[3]][0] == "phantom.generate_phantom" for span in renders)

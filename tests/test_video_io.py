@@ -378,7 +378,7 @@ class TestBilinearResizeExact:
 
     def test_matches_reference_on_hd30_shaped_phantom(self):
         video, _, _ = generate_phantom(PhantomSpec(seed=7, label=MorphClass.IIB, duration_s=2.0))
-        for frame in video.frames[::3]:
+        for frame in map(video.frames.__getitem__, range(0, len(video.frames), 3)):
             square = hd30_shaped(frame)[:, 80:560]
             assert np.array_equal(plan_resize(square),
                                   reference_bilinear_resize(square, 256, 256))
