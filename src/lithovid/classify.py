@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Protocol
 
 import numpy as np
 
-from .core import CANONICAL_ORDER, FrameGrid, MorphClass, StoneMask
+from .core import CANONICAL_ORDER, FRAME_SIDE, FrameGrid, MorphClass, StoneMask
 from .errors import LithovidError, json_fields, json_number, read_csv, read_json
 
 RGB_BINS = 8          # per channel, 8x8x8 = 512 color bins
@@ -42,19 +42,12 @@ def _check_shapes(frame: FrameGrid, mask: StoneMask) -> None:
         )
 
 
-_SCRATCH = [np.empty(0)] * 5  # features' float64 scratch, one flat buffer per role
+_SCRATCH = np.empty((5, FRAME_SIDE * FRAME_SIDE))  # features' float64 scratch, a row per role
 
 
-def _scratch(slot: int, shape: tuple[int, ...]) -> np.ndarray:  # contiguous, grown if need be
-    size = math.prod(shape)
-    if _SCRATCH[slot].size < size:
-        _SCRATCH[slot] = np.empty(size)
-    return _SCRATCH[slot][:size].reshape(shape)
-
-
-def _gradient_bins(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """min(floor(hypot(gx, gy) / GRAD_BIN_WIDTH), GRAD_BINS - 1) as uint8; see features."""
-    q, off = _scratch(3, gx.shape), _scratch(4, gx.shape)
+def _gradient_bins(gx: np.ndarray, gy: np.ndarray, q: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """min(floor(hypot(gx, gy) / GRAD_BIN_WIDTH), GRAD_BINS - 1) as uint8; see features.
+    q and off are float64 scratch of gx's shape, overwritten."""
     np.multiply(gx, gx, out=q)
     q += np.multiply(gy, gy, out=off)
     np.sqrt(q, out=q)
@@ -100,7 +93,7 @@ def features(frame: FrameGrid, mask: StoneMask) -> np.ndarray:
         idx |= channel >> 5
     color_hist = np.bincount(idx[keep].ravel(), minlength=RGB_BINS**3)
 
-    luma, gy, gx = (_scratch(slot, bits.shape) for slot in range(3))
+    luma, gy, gx, q, off = (row[: bits.size].reshape(bits.shape) for row in _SCRATCH)
     np.multiply(r, 0.299, out=luma)  # 0.299 * r + 0.587 * g + 0.114 * b, in that order
     luma += np.multiply(g, 0.587, out=gy)
     luma += np.multiply(b, 0.114, out=gy)
@@ -111,7 +104,7 @@ def features(frame: FrameGrid, mask: StoneMask) -> np.ndarray:
         d[1:-1] /= 2.0
         np.subtract(f[1], f[0], out=d[0])
         np.subtract(f[-1], f[-2], out=d[-1])
-    grad_hist = np.bincount(_gradient_bins(gx, gy)[keep].ravel(), minlength=GRAD_BINS)
+    grad_hist = np.bincount(_gradient_bins(gx, gy, q, off)[keep].ravel(), minlength=GRAD_BINS)
 
     vec = np.concatenate([color_hist, grad_hist]).astype(np.float64)
     return vec / vec.sum()

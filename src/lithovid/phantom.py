@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from enum import Enum
 from typing import Optional
@@ -157,27 +157,7 @@ class PhantomSpec:
         return [e for e in self.events if e.kind is EventKind.FRAGMENTATION]
 
     def to_json(self) -> str:
-        def palette(p: Palette) -> dict:
-            return {"base": list(p.base), "ripple": p.ripple, "speckle": p.speckle}
-
-        payload = {
-            "seed": self.seed,
-            "label": self.label.tag,
-            "duration_s": self.duration_s,
-            "events": [
-                {
-                    "kind": e.kind.value,
-                    "t_start": e.t_start,
-                    "t_end": e.t_end,
-                    "intensity": e.intensity,
-                }
-                for e in self.events
-            ],
-            "background": palette(self.background),
-            "shell": palette(self.shell),
-            "core": None if self.core is None else palette(self.core),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), default=lambda e: e.value, indent=2, sort_keys=True) + "\n"
 
 
 # -- per-video derived geometry ------------------------------------------------
@@ -578,7 +558,8 @@ def generate_phantom(spec: PhantomSpec) -> tuple[RawVideo, LazySequence, MorphCl
             yield render(k, noise)[0]
 
     video = RawVideo(video_id=f"phantom-{spec.label.tag}-{spec.seed & 0xFFFFFFFF:08x}",
-                     native_fps=STREAM_FPS, frames=LazySequence(n, lambda k: render(k)[0], iterate),
+                     native_fps=STREAM_FPS, frame_shape=(SIDE, SIDE, 3),
+                     frames=LazySequence(n, lambda k: render(k)[0], iterate),
                      truth_masks=LazySequence(n, lambda k: render(k)[1]), truth_label=spec.label)
     return video, LazySequence(n, lambda k: StoneMask(render(k)[1])), spec.label
 
@@ -703,11 +684,10 @@ def make_still(label: MorphClass, seed: int, section: bool = False):
 
 
 def training_stills(seed: int, per_class: int):
-    """Labeled stills, half surface / half section for pure classes."""
-    out = []
+    """Labeled (frame, mask, label) stills, half surface / half section for pure classes,
+    made one at a time as they are read."""
     for c in CANONICAL_ORDER:
         for i in range(per_class):
             child = (seed * 1_000_003 + c.rank * 10_007 + i) & ((1 << 63) - 1)
             frame, mask = make_still(c, child, section=(i % 2 == 1))
-            out.append((frame, mask, c))
-    return out
+            yield frame, mask, c

@@ -65,15 +65,17 @@ class LazySequence(Sequence):
 class RawVideo:
     """An ordered frame sequence at its native rate, before standardization.
 
-    frames is a tuple of arrays, checked here, or a LazySequence whose
-    maker checks them (load_stream's decodes a frame when it is accessed,
-    generate_phantom's renders it).
+    frame_shape is every frame's (H, W, 3). frames and truth_masks are kept as
+    given, often lazy sequences (load_stream's decode a frame when it is
+    accessed, generate_phantom's render it); normalize_video checks each frame
+    and truth mask against frame_shape as it is made.
     truth_masks / truth_label carry per-frame ground truth when the
     video comes from the phantom generator or an annotated container.
     """
 
     video_id: str
     native_fps: float
+    frame_shape: tuple[int, int, int]
     frames: Sequence[np.ndarray]
     truth_masks: Optional[Sequence[Optional[np.ndarray]]] = None
     truth_label: Optional[MorphClass] = None
@@ -81,24 +83,13 @@ class RawVideo:
     def __post_init__(self) -> None:
         if not MIN_NATIVE_FPS <= self.native_fps < math.inf:
             raise LithovidError(f"native_fps {self.native_fps} is not in [{MIN_NATIVE_FPS}, inf)")
-        eager = not isinstance(self.frames, LazySequence)
-        frames = tuple(self.frames) if eager else self.frames
-        for i, f in enumerate(frames if eager else ()):
-            if f.dtype != np.uint8 or f.ndim != 3 or f.shape[2] != 3:
-                raise LithovidError(f"frame {i} must be HxWx3 uint8")
-            if f.shape != frames[0].shape:
-                raise LithovidError(
-                    f"frame {i} has shape {f.shape[:2]}, expected {frames[0].shape[:2]}"
-                )
-        object.__setattr__(self, "frames", frames)
-        if self.truth_masks is not None:
-            masks = tuple(self.truth_masks) if eager else self.truth_masks
-            if len(masks) != len(frames):
-                raise LithovidError("truth_masks must align one-to-one with frames")
-            for i, m in enumerate(masks if eager else ()):
-                if m is not None and m.shape != frames[i].shape[:2]:
-                    raise LithovidError(f"truth mask {i} does not match its frame")
-            object.__setattr__(self, "truth_masks", masks)
+        h, w, channels = self.frame_shape
+        if channels != 3:
+            raise LithovidError(f"frame_shape {self.frame_shape} is not (H, W, 3)")
+        if h < MIN_FRAME_SIDE or w < MIN_FRAME_SIDE:
+            raise LithovidError(f"frame {w}x{h} is below the {MIN_FRAME_SIDE} px minimum")
+        if self.truth_masks is not None and len(self.truth_masks) != len(self.frames):
+            raise LithovidError("truth_masks must align one-to-one with frames")
 
 
 def stream_indices(video: RawVideo) -> list[int]:
@@ -169,11 +160,7 @@ def _resize_plan(h: int, w: int) -> Callable[[np.ndarray], np.ndarray]:
 
 def normalize_mask(mask: np.ndarray) -> StoneMask:
     """Apply the frame normalization geometry to a binary mask (nearest)."""
-    arr = np.asarray(mask).astype(bool)
-    h, w = arr.shape
-    if h < MIN_FRAME_SIDE or w < MIN_FRAME_SIDE:
-        raise LithovidError(f"mask {w}x{h} is below the {MIN_FRAME_SIDE} px minimum")
-    square = _center_crop_square(arr)
+    square = _center_crop_square(np.asarray(mask).astype(bool))
     side = square.shape[0]
     if side == FRAME_SIDE:
         return StoneMask(square)
@@ -376,6 +363,8 @@ def load_stream(manifest_path: Path) -> RawVideo:
     accessed and never kept, so a frame the 8 Hz stream drops is never decoded.
     """
     m = read_manifest(manifest_path)
+    if not m.files:
+        raise LithovidError(f"video {m.video_id!r} has no frames")
     base = m.path.parent
     shapes: list[tuple[int, ...]] = []
     for i, (name, mask) in enumerate(zip(m.files, m.masks)):
@@ -393,6 +382,7 @@ def load_stream(manifest_path: Path) -> RawVideo:
     return RawVideo(
         video_id=m.video_id,
         native_fps=m.native_fps,
+        frame_shape=shapes[0],
         frames=LazySequence(len(m.files), lambda k: read_ppm(base / m.files[k])),
         truth_masks=LazySequence(len(m.files), read_mask) if any(m.masks) else None,
         truth_label=m.truth_label,
@@ -435,35 +425,35 @@ def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequenc
     """The 8 Hz stream of a video: its frames (and truth masks) normalized to 256x256.
 
     Both are lazy sequences: stream item k reads native item
-    stream_indices(video)[k] and normalizes it each time it is accessed,
-    keeping nothing. One resize plan, built by the first frame that needs
-    it, serves the whole video: every frame gets a fresh array, but the
-    plan's scratch is shared, so frames are made by one thread at a time.
-    Iterating the frames iterates the native frames when the stream takes
-    each of them once (a phantom then draws its noise ahead), else reads
-    them by index. Frame 0 is made on the caller's thread. If its square
-    crop is larger than 256x256 (an HD video), the next frames are read and
-    normalized by read_ahead, else on the caller's thread. A frame's error
-    is raised when the caller reaches that frame, and native frames are
-    still decoded one at a time.
+    stream_indices(video)[k], checks it against video.frame_shape and
+    normalizes it each time it is accessed, keeping nothing. One resize
+    plan, built from frame_shape, serves the whole video: every frame gets
+    a fresh array, but the plan's scratch is shared, so frames are made by
+    one thread at a time. Iterating the frames iterates the native frames
+    when the stream takes each of them once (a phantom then draws its noise
+    ahead), else reads them by index. If the square crop is larger than
+    256x256 (an HD video), the frames are read and normalized by
+    read_ahead, else on the caller's thread. A frame's error is raised when
+    the caller reaches that frame, and native frames are still decoded one
+    at a time.
     """
     native = stream_indices(video)
-    plans: dict[tuple[int, ...], Callable[[np.ndarray], np.ndarray]] = {}  # by crop shape
+    h, w, _ = video.frame_shape
+    side = min(h, w)
+    resize = _resize_plan(side, side)
 
     def grid(img: np.ndarray, k: int) -> FrameGrid:
         img = np.asarray(img)
         if img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3:
             raise LithovidError(f"frame {native[k]} must be HxWx3 uint8")
-        h, w = img.shape[:2]
-        if h < MIN_FRAME_SIDE or w < MIN_FRAME_SIDE:
-            raise LithovidError(f"frame {w}x{h} is below the {MIN_FRAME_SIDE} px minimum")
-        square = _center_crop_square(img)
-        if square.shape not in plans:
-            plans[square.shape] = _resize_plan(*square.shape[:2])
-        return FrameGrid(plans[square.shape](square), stream_index=k)
+        if img.shape[:2] != (h, w):
+            raise LithovidError(f"frame {native[k]} has shape {img.shape[:2]}, expected {(h, w)}")
+        return FrameGrid(resize(_center_crop_square(img)), stream_index=k)
 
     def mask(k: int) -> Optional[StoneMask]:
         m = video.truth_masks[native[k]]
+        if m is not None and np.shape(m) != (h, w):
+            raise LithovidError(f"truth mask {native[k]} does not match its frame")
         return None if m is None else normalize_mask(m)
 
     def natives() -> Iterator[np.ndarray]:
@@ -472,12 +462,11 @@ def normalize_video(video: RawVideo) -> tuple[LazySequence, Optional[LazySequenc
 
     def stream() -> Iterator[FrameGrid]:
         with closing(natives()) as imgs:  # closing the stream closes a phantom's read-ahead
-            yield grid(next(imgs), 0)
-            rest = range(1, len(native))
-            if next(iter(plans))[0] <= FRAME_SIDE:  # frame 0's crop side: not HD, so inline
-                yield from map(grid, imgs, rest)
+            indices = range(len(native))
+            if side <= FRAME_SIDE:  # not HD, so inline
+                yield from map(grid, imgs, indices)
             else:
-                yield from read_ahead(lambda k: grid(next(imgs), k), rest)
+                yield from read_ahead(lambda k: grid(next(imgs), k), indices)
 
     frames = LazySequence(len(native), lambda k: grid(video.frames[native[k]], k), stream)
     return frames, None if video.truth_masks is None else LazySequence(len(native), mask)

@@ -31,6 +31,11 @@ def rand_frame(seed=0):
     return FrameGrid(rng.integers(0, 256, size=(256, 256, 3), dtype=np.uint8))
 
 
+def gradient_bins(gx, gy):
+    """_gradient_bins on scratch of any size; features passes rows of its fixed scratch."""
+    return _gradient_bins(gx, gy, np.empty(gx.shape), np.empty(gx.shape))
+
+
 def block_mask(y0=50, y1=150, x0=60, x1=180):
     bits = np.zeros((256, 256), dtype=bool)
     bits[y0:y1, x0:x1] = True
@@ -210,7 +215,7 @@ class TestFeaturesExact:
             g = np.full(3, ulps_from(10 * k, n))
             zero = np.zeros_like(g)
             for gx, gy in ((zero, g), (g, zero), (-g, zero), (zero, -g)):
-                assert np.all(_gradient_bins(gx, gy) == k - (n < 0))
+                assert np.all(gradient_bins(gx, gy) == k - (n < 0))
 
     def test_gradient_bins_brute_force(self):
         rng = np.random.Generator(np.random.Philox(key=[37, 10]))
@@ -225,7 +230,7 @@ class TestFeaturesExact:
         exact = (triples[:, None, :] + steps).reshape(2, -1)
         gx, gy = np.concatenate([uniform, edge, exact], axis=1)
         expected = np.minimum((np.hypot(gx, gy) / 10).astype(np.intp), 15)
-        assert np.array_equal(_gradient_bins(gx, gy), expected)
+        assert np.array_equal(gradient_bins(gx, gy), expected)
         # the fallback is needed: sqrt of the sum alone floors some edge pairs differently
         plain = np.minimum((np.sqrt(gx * gx + gy * gy) / 10).astype(np.intp), 15)
         assert np.count_nonzero(plain != expected) > 100
@@ -293,14 +298,14 @@ class TestCentroidModel:
             assert np.allclose(model.centroids[c], features(f, m))
 
     def test_duplication_invariance(self):
-        samples = training_stills(8, 3)
+        samples = list(training_stills(8, 3))
         model_a = train_centroid(samples)
         model_b = train_centroid(samples + samples)
         for c in CANONICAL_ORDER:
             assert np.allclose(model_a.centroids[c], model_b.centroids[c], atol=1e-14)
 
     def test_permutation_invariance(self):
-        samples = training_stills(8, 3)
+        samples = list(training_stills(8, 3))
         model_a = train_centroid(samples)
         model_b = train_centroid(list(reversed(samples)))
         for c in CANONICAL_ORDER:
@@ -312,7 +317,7 @@ class TestCentroidModel:
             train_centroid(samples)
 
     def test_empty_mask_sample_rejected(self):
-        samples = training_stills(8, 1)
+        samples = list(training_stills(8, 1))
         samples.append((rand_frame(), StoneMask(np.zeros((256, 256), bool)), IA))
         with pytest.raises(LithovidError, match=r"^training sample \d+ \(Ia\) has an empty mask$"):
             train_centroid(samples)
@@ -338,7 +343,7 @@ class TestCentroidModel:
             CentroidModel(centroids={IA: np.full(528, 1 / 528)})
 
     def test_held_out_accuracy(self, small_model):
-        held = training_stills(123, 10)
+        held = list(training_stills(123, 10))
         hits = 0
         for f, m, label in held:
             scores = small_model.predict(f, m)

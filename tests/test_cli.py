@@ -563,6 +563,21 @@ class TestRunCommand:
         assert (tmp_path / "o" / "out" / name).read_bytes() == (
             workspace / "timelines" / name).read_bytes()
 
+    def test_manifest_without_frames_spares_the_rest(self, workspace, tmp_path, capsys):
+        import shutil
+
+        videos = one_video(workspace, tmp_path / "videos")
+        bad = videos / "bad"
+        shutil.copytree(videos / "Ia-clean-000", bad)
+        edit_json(bad / "manifest.json", bad / "manifest.json",
+                  lambda p: p.update(video_id="bad", frames=[]))
+        out = tmp_path / "o"
+        code = main(["run", "--videos", str(videos), "--out", str(out),
+                     "--model", str(workspace / "model.json")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: video 'bad' has no frames"]
+        assert sorted(p.name for p in out.iterdir()) == ["Ia-clean-000.json"]
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("video_id", UNUSABLE_VIDEO_IDS, ids=UNUSABLE_ID_NAMES)
     def test_unusable_video_id_spares_the_rest(self, workspace, tmp_path, capsys, monkeypatch,
@@ -880,8 +895,7 @@ class TestHdReadAhead:
         assert run_overlaid(workspace, tmp_path / "videos", tmp_path / "o") == 0
         assert threading.enumerate() == before
         assert [name for name, _ in reads] == [f"frame_{k:06d}.ppm" for k in range(0, 24, 3)]
-        assert reads[0][1] == threading.main_thread().name
-        assert len(started) == 1 and {thread for _, thread in reads[1:]} == set(started)
+        assert len(started) == 1 and {thread for _, thread in reads} == set(started)
 
     def test_grid_sized_video_starts_no_thread(self, workspace, tmp_path, monkeypatch):
         import threading

@@ -384,7 +384,8 @@ class TestAblationSmoke:
             px[~mask.bits] = (20, 200, 20)
             recolored_frames.append(px)
         recolored = RawVideo(
-            video_id="r", native_fps=video.native_fps, frames=tuple(recolored_frames),
+            video_id="r", native_fps=video.native_fps, frame_shape=video.frame_shape,
+            frames=tuple(recolored_frames),
             truth_masks=video.truth_masks, truth_label=label,
         )
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -96,6 +97,38 @@ class TestSpecValidation:
     def test_to_json_bytes_are_pinned(self, profile, label):
         text = PROFILE_BUILDERS[profile](99, label, PROFILE_SECONDS[profile]).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == self.SPEC_DIGESTS[profile, label]
+
+    @staticmethod
+    def reference_to_json(spec):
+        """The field-by-field serializer that to_json replaced, verbatim."""
+        def palette(p):
+            return {"base": list(p.base), "ripple": p.ripple, "speckle": p.speckle}
+
+        payload = {
+            "seed": spec.seed,
+            "label": spec.label.tag,
+            "duration_s": spec.duration_s,
+            "events": [
+                {
+                    "kind": e.kind.value,
+                    "t_start": e.t_start,
+                    "t_end": e.t_end,
+                    "intensity": e.intensity,
+                }
+                for e in spec.events
+            ],
+            "background": palette(spec.background),
+            "shell": palette(spec.shell),
+            "core": None if spec.core is None else palette(spec.core),
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("profile", list(PROFILE_BUILDERS))
+    def test_to_json_equals_the_field_by_field_serializer(self, profile):
+        for label in CANONICAL_ORDER:
+            for seed in range(20):
+                spec = PROFILE_BUILDERS[profile](seed, label, PROFILE_SECONDS[profile])
+                assert spec.to_json() == self.reference_to_json(spec), (label, seed)
 
     @pytest.mark.parametrize("fields", [
         {"base": (float("nan"), 60.0, 70.0)},
@@ -328,6 +361,13 @@ class TestLazyStream:
         assert main(["phantom", "--out", str(tmp_path), "--per-class", "1", "--seed", "4",
                      "--duration", "1.5", "--profile", "adversarial"]) == 0
         assert calls == list(range(12)) * len(CANONICAL_ORDER)
+
+    def test_training_stills_are_rendered_as_they_are_read(self, monkeypatch):
+        from lithovid.phantom import training_stills
+
+        calls = self.count_renders(monkeypatch)
+        next(training_stills(5, 40))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("profile", ["clean", "default", "adversarial"])
     def test_equals_an_eager_render_loop(self, profile):

@@ -414,7 +414,7 @@ class TestDistancesExact:
         assert same_floats(seg.distances_sq(pixels), reference_distances_sq(seg, pixels))
 
     def test_calibration_file_unchanged(self, tmp_path, monkeypatch):
-        stills = training_stills(99, 6)
+        stills = list(training_stills(99, 6))
         calibrate_chroma((f, m) for f, m, _ in stills).save(tmp_path / "new.json")
         monkeypatch.setattr(ChromaSegmenter, "distances_sq", reference_distances_sq)
         calibrate_chroma((f, m) for f, m, _ in stills).save(tmp_path / "old.json")

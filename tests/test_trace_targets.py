@@ -62,6 +62,29 @@ def test_traced_run_records_every_layer_of_the_run_path(tmp_path, monkeypatch):
         assert name in called, name
 
 
+def test_traced_ablation_records_every_layer_of_the_adversarial_path(small_model,
+                                                                    oracle_factory):
+    """A traced run_ablation over short adversarial phantoms, one per class as scoring needs,
+    records each run-path span that perfbench's adversarial-ablation workload expects."""
+    from lithovid import evaluate, phantom
+    from lithovid.core import CANONICAL_ORDER
+
+    specs = [phantom.adversarial_spec(6, c, 2.0) for c in CANONICAL_ORDER]
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        evaluate.run_ablation(((phantom.generate_phantom(s)[0], s.label) for s in specs),
+                              oracle_factory, small_model)
+    finally:
+        tracer.uninstall()
+    called = {span[0] for span in tracer.spans}
+    for name in ("evaluate.run_ablation", "pipeline.run_raw_video", "video_io.normalize_video",
+                 "phantom.generate_phantom", "phantom.render_frame", "segmentation.segment",
+                 "qc.check_frame", "classify.features", "classify.predict", "decision.decide",
+                 "pipeline.run_timeline"):
+        assert name in called, name
+
+
 def test_traced_phantom_records_one_render_per_frame():
     """phantom.render_frame stays the module-level function a phantom calls once per frame,
     when the frames and masks are read rather than when generate_phantom returns."""

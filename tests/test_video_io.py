@@ -35,7 +35,7 @@ def gradient_video(n, fps, h=20, w=20):
     frames = tuple(
         np.full((h, w, 3), min(255, i), dtype=np.uint8) for i in range(n)
     )
-    return RawVideo(video_id="g", native_fps=fps, frames=frames)
+    return RawVideo(video_id="g", native_fps=fps, frame_shape=(h, w, 3), frames=frames)
 
 
 def brute_force_indices(n, native_fps, target_fps, count):
@@ -94,7 +94,8 @@ class TestResample:
 
     def test_empty_video_raises(self):
         with pytest.raises(LithovidError, match="^video 'e' has no frames$"):
-            stream_indices(RawVideo(video_id="e", native_fps=10.0, frames=()))
+            stream_indices(RawVideo(video_id="e", native_fps=10.0, frame_shape=(20, 20, 3),
+                                    frames=()))
 
     @pytest.mark.parametrize("fps", [0.0, -8.0, float("nan"), float("inf"), float("-inf"),
                                      1e-300, 0.001, 0.5])  # the last three: below the floor
@@ -105,14 +106,15 @@ class TestResample:
     def test_idempotent_at_8hz(self):
         v = gradient_video(50, 25.0)
         once = stream_indices(v)
-        stream = RawVideo(video_id="s", native_fps=STREAM_FPS,
+        stream = RawVideo(video_id="s", native_fps=STREAM_FPS, frame_shape=v.frame_shape,
                           frames=tuple(v.frames[i] for i in once))
         assert stream_indices(stream) == list(range(len(once)))
 
     def test_truth_masks_follow_selected_frames(self):
         frames = tuple(np.full((20, 20, 3), i, dtype=np.uint8) for i in range(30))
         masks = tuple(np.full((20, 20), i % 2 == 0, dtype=bool) for i in range(30))
-        v = RawVideo(video_id="m", native_fps=30.0, frames=frames, truth_masks=masks)
+        v = RawVideo(video_id="m", native_fps=30.0, frame_shape=(20, 20, 3), frames=frames,
+                     truth_masks=masks)
         out_frames, out_masks = normalize_video(v)
         assert len(out_frames) == len(out_masks) == 8
         for frame, mask in zip(out_frames, out_masks):
@@ -137,47 +139,75 @@ def uint8_frames(*shapes):
     return tuple(np.zeros(shape, np.uint8) for shape in shapes)
 
 
+def both_forms(frames, masks=None, shape=(20, 20, 3)):
+    """One video with its frames (and masks) as tuples and as lazy sequences."""
+    for form in (tuple, lambda items: LazySequence(len(items), items.__getitem__)):
+        yield RawVideo(video_id="v", native_fps=8.0, frame_shape=shape, frames=form(frames),
+                       truth_masks=None if masks is None else form(masks))
+
+
 class TestFrameChecks:
-    """RawVideo checks the frames and masks it is given; normalize_video checks each frame
-    a lazy sequence makes, when it is made."""
+    """RawVideo checks the frame shape it states and the mask count; normalize_video checks
+    each frame and truth mask against that shape when it is made, whether the video holds
+    them in a tuple or makes them lazily."""
 
     @pytest.mark.parametrize("bad", [np.zeros((20, 20, 3), np.float32),
                                      np.zeros((20, 20), np.uint8)], ids=["float32", "2-D"])
     def test_frame_that_is_not_hxwx3_uint8(self, bad):
-        with pytest.raises(LithovidError, match="^frame 1 must be HxWx3 uint8$"):
-            RawVideo(video_id="v", native_fps=8.0, frames=(*uint8_frames((20, 20, 3)), bad))
+        for video in both_forms([*uint8_frames((20, 20, 3)), bad]):
+            frames, _ = normalize_video(video)
+            for read in (list, lambda frames: frames[1]):
+                with pytest.raises(LithovidError, match="^frame 1 must be HxWx3 uint8$"):
+                    read(frames)
 
     def test_frames_of_different_shapes(self):
-        with pytest.raises(LithovidError, match=r"^frame 1 has shape \(20, 24\)"):
-            RawVideo(video_id="v", native_fps=8.0, frames=uint8_frames((20, 20, 3), (20, 24, 3)))
+        for video in both_forms(uint8_frames((40, 40, 3), (300, 200, 3), (40, 40, 3)),
+                                shape=(40, 40, 3)):
+            frames, _ = normalize_video(video)
+            assert frames[2].pixels.shape == (FRAME_SIDE, FRAME_SIDE, 3)
+            for read in (list, lambda frames: frames[1]):
+                with pytest.raises(LithovidError,
+                                   match=r"^frame 1 has shape \(300, 200\), expected \(40, 40\)$"):
+                    read(frames)
 
     def test_mask_that_does_not_match_its_frame(self):
         masks = (np.zeros((20, 20), bool), np.zeros((20, 21), bool))
-        with pytest.raises(LithovidError, match="^truth mask 1 does not match its frame$"):
-            RawVideo(video_id="v", native_fps=8.0, frames=uint8_frames(*[(20, 20, 3)] * 2),
-                     truth_masks=masks)
+        for video in both_forms(uint8_frames(*[(20, 20, 3)] * 2), masks):
+            _, truths = normalize_video(video)
+            assert truths[0].bits.shape == (FRAME_SIDE, FRAME_SIDE)
+            for read in (list, lambda truths: truths[1]):
+                with pytest.raises(LithovidError, match="^truth mask 1 does not match its frame$"):
+                    read(truths)
 
     @pytest.mark.parametrize("n_masks", [1, 3])
     def test_mask_count_differs_from_frame_count(self, n_masks):
         with pytest.raises(LithovidError, match="^truth_masks must align one-to-one"):
-            RawVideo(video_id="v", native_fps=8.0, frames=uint8_frames(*[(20, 20, 3)] * 2),
+            RawVideo(video_id="v", native_fps=8.0, frame_shape=(20, 20, 3),
+                     frames=uint8_frames(*[(20, 20, 3)] * 2),
                      truth_masks=(np.zeros((20, 20), bool),) * n_masks)
 
     @pytest.mark.parametrize("bad", [np.zeros((20, 20, 3), np.float32),
                                      np.zeros((20, 20), np.uint8)], ids=["float32", "2-D"])
     def test_lazy_frame_is_checked_when_normalized(self, bad):
         good, = uint8_frames((20, 20, 3))
-        video = RawVideo(video_id="v", native_fps=8.0,
-                         frames=LazySequence(2, lambda k: bad if k else good))
+        made = []
+        video = RawVideo(video_id="v", native_fps=8.0, frame_shape=(20, 20, 3),
+                         frames=LazySequence(2, lambda k: made.append(k) or (bad if k else good)))
         frames, _ = normalize_video(video)
+        assert made == []  # neither the video nor its stream reads a frame up front
         assert frames[0].pixels.shape == (FRAME_SIDE, FRAME_SIDE, 3)
         with pytest.raises(LithovidError, match="^frame 1 must be HxWx3 uint8$"):
             frames[1]
 
+    def test_frame_shape_is_not_hxwx3(self):
+        with pytest.raises(LithovidError, match=r"^frame_shape \(20, 20, 4\) is not \(H, W, 3\)$"):
+            RawVideo(video_id="v", native_fps=8.0, frame_shape=(20, 20, 4), frames=())
+
 
 def normalize_one(img):
     """The only frame of the 8 Hz stream of a one-frame video."""
-    frames, _ = normalize_video(RawVideo(video_id="one", native_fps=STREAM_FPS, frames=(img,)))
+    frames, _ = normalize_video(RawVideo(video_id="one", native_fps=STREAM_FPS,
+                                         frame_shape=img.shape, frames=(img,)))
     return frames[0]
 
 
@@ -387,7 +417,7 @@ class TestBilinearResizeExact:
     def test_normalized_frame_at_scale_one_is_a_read_only_copy(self, shape):
         rng = np.random.Generator(np.random.Philox(key=[9, 9]))
         img = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
-        frames, _ = normalize_video(RawVideo("v", 8.0, (img,)))
+        frames, _ = normalize_video(RawVideo("v", 8.0, img.shape, (img,)))
         pixels = frames[0].pixels
         x0 = (shape[1] - 256) // 2
         assert np.array_equal(pixels, img[:, x0 : x0 + 256])
@@ -467,8 +497,8 @@ def store_random_video(dir_path, n, fps, h=24, w=32, seed=0):
     rng = np.random.Generator(np.random.Philox(key=[seed, n]))
     frames = tuple(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8) for _ in range(n))
     masks = tuple(rng.random((h, w)) < 0.4 for _ in range(n))
-    video = RawVideo(video_id="r", native_fps=fps, frames=frames, truth_masks=masks,
-                     truth_label=MorphClass.IIB)
+    video = RawVideo(video_id="r", native_fps=fps, frame_shape=(h, w, 3), frames=frames,
+                     truth_masks=masks, truth_label=MorphClass.IIB)
     store_stream(video, dir_path)
     return dir_path
 
@@ -584,8 +614,8 @@ class TestStreamFrames:
         assert not any(np.shares_memory(held.pixels, f.pixels) for f in later)
 
     def test_frame_allocation_peak(self, tmp_path):
-        """After the first frame builds the plan, a frame allocates its raster, its two
-        row gathers and its result: about 1.3 MB, where fresh int32 temporaries took 4.75."""
+        """The plan is built with the stream, so each frame allocates only its raster, its
+        two row gathers and its result: about 1.3 MB, where fresh int32 temporaries took 4.75."""
         d = store_random_video(tmp_path / "v", 30, 30.0, h=480, w=640)
         frames, _ = normalize_video(load_stream(d))
         peaks = []
@@ -599,4 +629,4 @@ class TestStreamFrames:
                 del frame
         finally:
             tracemalloc.stop()
-        assert max(peaks[1:]) <= 2 * 2**20, peaks
+        assert max(peaks) <= 2 * 2**20, peaks
